@@ -14,6 +14,7 @@ use trajectory::ErrorMeasure;
 fn bench_budget_sweep(c: &mut Criterion) {
     let spec = DatasetSpec::osm(Scale::Smoke);
     let db = generate(&spec.clone().with_trajectories(8), 21);
+    let store = db.to_store();
     let train_db = generate(&spec.with_trajectories(4), 22);
     let model = train_rl4qdts(&train_db, QueryDistribution::Data, 8, 23);
 
@@ -27,13 +28,13 @@ fn bench_budget_sweep(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("TopDown(E,PED)", &label),
             &budget,
-            |b, &w| b.iter(|| td.simplify(&db, w)),
+            |b, &w| b.iter(|| td.simplify_store(&store, w)),
         );
         let bu = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each);
         group.bench_with_input(
             BenchmarkId::new("BottomUp(E,SED)", &label),
             &budget,
-            |b, &w| b.iter(|| bu.simplify(&db, w)),
+            |b, &w| b.iter(|| bu.simplify_store(&store, w)),
         );
         let rl = Rl4QdtsSimplifier {
             model: model.clone(),
@@ -42,7 +43,7 @@ fn bench_budget_sweep(c: &mut Criterion) {
             variant: PolicyVariant::FULL,
         };
         group.bench_with_input(BenchmarkId::new("RL4QDTS", &label), &budget, |b, &w| {
-            b.iter(|| rl.simplify(&db, w))
+            b.iter(|| rl.simplify_store(&store, w))
         });
     }
     group.finish();

@@ -22,14 +22,15 @@ fn bench_scalability(c: &mut Criterion) {
         let db = generate(&spec.clone().with_trajectories(m), 12);
         let budget = ((db.total_points() as f64 * 0.05) as usize).max(traj_simp::min_points(&db));
         let n = db.total_points();
+        let store = db.to_store();
 
         let td = TopDown::new(ErrorMeasure::Ped, Adaptation::Each);
-        group.bench_with_input(BenchmarkId::new("TopDown(E,PED)", n), &db, |b, db| {
-            b.iter(|| td.simplify(db, budget))
+        group.bench_with_input(BenchmarkId::new("TopDown(E,PED)", n), &store, |b, s| {
+            b.iter(|| td.simplify_store(s, budget))
         });
         let bu = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each);
-        group.bench_with_input(BenchmarkId::new("BottomUp(E,SED)", n), &db, |b, db| {
-            b.iter(|| bu.simplify(db, budget))
+        group.bench_with_input(BenchmarkId::new("BottomUp(E,SED)", n), &store, |b, s| {
+            b.iter(|| bu.simplify_store(s, budget))
         });
         let rl = Rl4QdtsSimplifier {
             model: model.clone(),
@@ -37,8 +38,8 @@ fn bench_scalability(c: &mut Criterion) {
             seed: 13,
             variant: PolicyVariant::FULL,
         };
-        group.bench_with_input(BenchmarkId::new("RL4QDTS", n), &db, |b, db| {
-            b.iter(|| rl.simplify(db, budget))
+        group.bench_with_input(BenchmarkId::new("RL4QDTS", n), &store, |b, s| {
+            b.iter(|| rl.simplify_store(s, budget))
         });
     }
     group.finish();

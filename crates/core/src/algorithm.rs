@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use tiny_rl::Dqn;
 use traj_index::{CubeIndex, NodeId};
 use traj_query::QueryEngine;
-use trajectory::{AsColumns, Cube, Simplification, TrajectoryDb};
+use trajectory::{AsColumns, Cube, PointStore, Simplification, TrajectoryDb};
 
 /// The RL4QDTS simplifier: a trained Agent-Cube and Agent-Point pair plus
 /// their hyperparameters. Produced by [`crate::trainer::train`] (or
@@ -76,27 +76,33 @@ impl Rl4Qdts {
         state_queries: &[Cube],
         seed: u64,
     ) -> Simplification {
-        self.simplify_variant(db, budget, state_queries, seed, PolicyVariant::FULL)
+        self.simplify_variant(
+            &db.to_store(),
+            budget,
+            state_queries,
+            seed,
+            PolicyVariant::FULL,
+        )
     }
 
-    /// Algorithm 1 parameterized by the ablation variant (Table II).
-    /// Builds a [`QueryEngine`] with the configured index backend
-    /// ([`crate::config::IndexKind`]) and runs the insertion loop against
-    /// its shared cube hierarchy.
+    /// Algorithm 1 over a columnar store, parameterized by the ablation
+    /// variant (Table II). Builds a [`QueryEngine`] borrowing `store` with
+    /// the configured index backend ([`crate::config::IndexKind`]) and runs
+    /// the insertion loop against its shared cube hierarchy.
     pub fn simplify_variant(
         &self,
-        db: &TrajectoryDb,
+        store: &PointStore,
         budget: usize,
         state_queries: &[Cube],
         seed: u64,
         variant: PolicyVariant,
     ) -> Simplification {
-        let mut engine = QueryEngine::over(db, self.config.engine_config());
+        let mut engine = QueryEngine::over_store(store, self.config.engine_config());
         engine.assign_queries(state_queries);
         let tree = engine
             .cube_index()
             .expect("rl4qdts engines are always indexed");
-        self.simplify_with_index(engine.store(), budget, tree, seed, variant)
+        self.simplify_with_index(store, budget, tree, seed, variant)
     }
 
     /// Algorithm 1 against an already-built, query-assigned index over the
@@ -294,7 +300,7 @@ mod tests {
             PolicyVariant::NO_POINT,
             PolicyVariant::NEITHER,
         ] {
-            let simp = model.simplify_variant(&db, budget, &queries, 9, v);
+            let simp = model.simplify_variant(&db.to_store(), budget, &queries, 9, v);
             assert_eq!(
                 simp.total_points(),
                 budget.max(2 * db.len()),

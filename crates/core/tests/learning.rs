@@ -42,7 +42,7 @@ fn trained_model_beats_uniform_sampling_on_query_accuracy() {
     let budget = (test_db.total_points() / 50).max(2 * test_db.len() + 50);
 
     let ours = model.simplify(&test_db, budget, &state_queries, 9);
-    let uniform = Uniform.simplify(&test_db, budget);
+    let uniform = Uniform.simplify_store(&test_db.to_store(), budget);
 
     let base = Simplification::most_simplified(&test_db);
     let engine = QueryEngine::over(&test_db, EngineConfig::octree());

@@ -36,7 +36,8 @@
 //! exactly.
 //!
 //! The `live` task exercises the ingestion layer end to end: a
-//! generational database (WAL + snapshot generations in `--dir`) behind
+//! generational database (WAL + snapshot generations in `--dir`; by
+//! default a fresh per-process directory under the system temp dir) behind
 //! a live wire server, `--batches` ingest round-trips, a range workload
 //! over the merged base+delta view, and a compaction fold cross-checked
 //! for answer stability.
@@ -166,7 +167,12 @@ fn run_snapshot(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run_live(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = PathBuf::from(flag_value(rest, "--dir").unwrap_or("db.live"));
+    // Default: a fresh per-process directory, so runs never litter the
+    // working directory.
+    let dir = flag_value(rest, "--dir").map_or_else(
+        || std::env::temp_dir().join(format!("qdts-live-{}", std::process::id())),
+        PathBuf::from,
+    );
     let queries: usize = flag_value(rest, "--queries").unwrap_or("100").parse()?;
     let batches: usize = flag_value(rest, "--batches").unwrap_or("8").parse()?;
     let seed: u64 = flag_value(rest, "--seed").unwrap_or("42").parse()?;

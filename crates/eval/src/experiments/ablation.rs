@@ -33,6 +33,7 @@ pub fn run(scale: Scale, seed: u64, runs: usize) -> Table {
     let ratio = ratio_sweep(scale)[0];
     let budget =
         ((test_db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(&test_db));
+    let test_store = test_db.to_store();
 
     let variants = [
         PolicyVariant::FULL,
@@ -56,7 +57,7 @@ pub fn run(scale: Scale, seed: u64, runs: usize) -> Table {
                 seed: seed.wrapping_add(run_idx as u64 * 131),
                 variant,
             };
-            let simp = simplifier.simplify(&test_db, budget);
+            let simp = simplifier.simplify_store(&test_store, budget);
             f1s.push(eval_range(&test_db, &simp.materialize(&test_db), &tasks));
         }
         let elapsed = started.elapsed().as_secs_f64() / runs as f64;

@@ -66,6 +66,7 @@ fn run_one(
     let params = TaskParams::for_scale(scale, query_count(scale));
     let tasks = build_tasks(test_db, dist, params, &mut rng);
     let floor = traj_simp::min_points(test_db);
+    let test_store = test_db.to_store();
 
     // scores[task][method_row][ratio] = formatted cell
     let mut method_names: Vec<String> = baselines.iter().map(|b| b.name()).collect();
@@ -76,7 +77,7 @@ fn run_one(
     for &ratio in ratios {
         let budget = ((test_db.total_points() as f64 * ratio) as usize).max(floor);
         for (mi, b) in baselines.iter().enumerate() {
-            let s = score_method(*b, test_db, budget, &tasks).as_vec();
+            let s = score_method(*b, test_db, &test_store, budget, &tasks).as_vec();
             for (ti, v) in s.iter().enumerate() {
                 cells[ti][mi].push(format!("{v:.3}"));
             }
@@ -95,7 +96,7 @@ fn run_one(
                 seed: seed.wrapping_add(run_idx as u64 * 31),
                 variant: PolicyVariant::FULL,
             };
-            let s = score_method(&simplifier, test_db, budget, &tasks).as_vec();
+            let s = score_method(&simplifier, test_db, &test_store, budget, &tasks).as_vec();
             for (ti, v) in s.iter().enumerate() {
                 per_task_runs[ti].push(*v);
             }

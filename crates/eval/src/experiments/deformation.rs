@@ -62,6 +62,7 @@ pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> Table {
     let tasks = build_tasks(&test_db, dist, params, &mut rng);
     let ratios = ratio_sweep(scale);
     let floor = traj_simp::min_points(&test_db);
+    let test_store = test_db.to_store();
 
     let mut header: Vec<String> = vec!["method".into()];
     header.extend(ratios.iter().map(|&r| crate::experiments::fmt_ratio(r)));
@@ -81,7 +82,7 @@ pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> Table {
         let mut row = vec![method.name()];
         for &ratio in &ratios {
             let budget = ((test_db.total_points() as f64 * ratio) as usize).max(floor);
-            let simp = method.simplify(&test_db, budget);
+            let simp = method.simplify_store(&test_store, budget);
             let sed = returned_trajectory_sed(&test_db, &simp, &tasks.range_queries);
             row.push(format!("{sed:.1}"));
         }

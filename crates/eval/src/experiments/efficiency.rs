@@ -12,7 +12,7 @@ use traj_query::QueryDistribution;
 use traj_simp::rlts::{RltsPlus, RltsTrainConfig};
 use traj_simp::{Adaptation, BottomUp, Simplifier, SpanSearch, TopDown};
 use trajectory::gen::{generate, DatasetSpec, Scale};
-use trajectory::{ErrorMeasure, TrajectoryDb};
+use trajectory::{ErrorMeasure, PointStore, TrajectoryDb};
 
 /// The method set timed in Fig. 8: the union of skyline members plus
 /// RLTS+ and Span-Search, as in the paper's legend.
@@ -57,9 +57,9 @@ fn budget_sweep(scale: Scale) -> Vec<f64> {
     }
 }
 
-fn time_one(method: &dyn Simplifier, db: &TrajectoryDb, budget: usize) -> f64 {
+fn time_one(method: &dyn Simplifier, store: &PointStore, budget: usize) -> f64 {
     let started = std::time::Instant::now();
-    let simp = method.simplify(db, budget);
+    let simp = method.simplify_store(store, budget);
     let elapsed = started.elapsed().as_secs_f64();
     std::hint::black_box(simp.total_points());
     elapsed
@@ -85,10 +85,11 @@ pub fn run_varying_size(scale: Scale, seed: u64) -> Table {
         .collect();
     for &m in &sizes {
         let db = generate(&spec.clone().with_trajectories(m), seed);
+        let store = db.to_store();
         let ratio = budget_sweep(scale)[0];
         let budget = ((db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(&db));
         for (i, b) in baselines.iter().enumerate() {
-            rows[i].push(format!("{:.3}s", time_one(b.as_ref(), &db, budget)));
+            rows[i].push(format!("{:.3}s", time_one(b.as_ref(), &store, budget)));
         }
         let rl = Rl4QdtsSimplifier {
             model: model.clone(),
@@ -97,7 +98,7 @@ pub fn run_varying_size(scale: Scale, seed: u64) -> Table {
             variant: PolicyVariant::FULL,
         };
         let last = rows.len() - 1;
-        rows[last].push(format!("{:.3}s", time_one(&rl, &db, budget)));
+        rows[last].push(format!("{:.3}s", time_one(&rl, &store, budget)));
     }
     for r in rows {
         table.row(r);
@@ -110,6 +111,7 @@ pub fn run_varying_budget(scale: Scale, seed: u64) -> Table {
     let spec = DatasetSpec::osm(scale);
     let m = size_sweep(scale)[size_sweep(scale).len() / 2];
     let db = generate(&spec.clone().with_trajectories(m), seed);
+    let store = db.to_store();
     let train_db = generate(&spec.with_trajectories((m / 2).max(4)), seed ^ 1);
     let baselines = timed_baselines(&train_db, seed);
     let model = train_rl4qdts(&train_db, QueryDistribution::Data, query_count(scale), seed);
@@ -128,7 +130,7 @@ pub fn run_varying_budget(scale: Scale, seed: u64) -> Table {
     for &ratio in &ratios {
         let budget = ((db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(&db));
         for (i, b) in baselines.iter().enumerate() {
-            rows[i].push(format!("{:.3}s", time_one(b.as_ref(), &db, budget)));
+            rows[i].push(format!("{:.3}s", time_one(b.as_ref(), &store, budget)));
         }
         let rl = Rl4QdtsSimplifier {
             model: model.clone(),
@@ -137,7 +139,7 @@ pub fn run_varying_budget(scale: Scale, seed: u64) -> Table {
             variant: PolicyVariant::FULL,
         };
         let last = rows.len() - 1;
-        rows[last].push(format!("{:.3}s", time_one(&rl, &db, budget)));
+        rows[last].push(format!("{:.3}s", time_one(&rl, &store, budget)));
     }
     for r in rows {
         table.row(r);

@@ -45,6 +45,7 @@ pub fn run(scale: Scale, seed: u64) -> Table {
     let tasks = build_tasks(&test_db, DIST, params, &mut rng);
     let ratios = ratio_sweep(scale);
     let floor = traj_simp::min_points(&test_db);
+    let test_store = test_db.to_store();
 
     let mut table = Table::new(&["index", "ratio", "Range F1", "Simplify time (s)"]);
     for kind in [IndexKind::Octree, IndexKind::MedianKdTree] {
@@ -61,7 +62,7 @@ pub fn run(scale: Scale, seed: u64) -> Table {
                 variant: PolicyVariant::FULL,
             };
             let started = std::time::Instant::now();
-            let simp = rl.simplify(&test_db, budget);
+            let simp = rl.simplify_store(&test_store, budget);
             let elapsed = started.elapsed().as_secs_f64();
             let f1 = eval_range(&test_db, &simp.materialize(&test_db), &tasks);
             table.row(vec![

@@ -16,7 +16,7 @@ pub mod transferability;
 use crate::tasks::{evaluate, QueryTasks, TaskScores};
 use traj_simp::Simplifier;
 use trajectory::gen::Scale;
-use trajectory::TrajectoryDb;
+use trajectory::{PointStore, TrajectoryDb};
 
 /// Compression-ratio sweep for Geolife/T-Drive-shaped figures
 /// (paper: 0.25%–2%). Synthetic trajectories are shorter than the real
@@ -50,13 +50,16 @@ pub fn query_count(scale: Scale) -> usize {
 }
 
 /// Runs one method at one budget and scores it on the full task suite.
+/// `store` is `db` in columnar form (`db.to_store()`), converted once by
+/// the caller.
 pub fn score_method(
     method: &dyn Simplifier,
     db: &TrajectoryDb,
+    store: &PointStore,
     budget: usize,
     tasks: &QueryTasks,
 ) -> TaskScores {
-    let simp = method.simplify(db, budget);
+    let simp = method.simplify_store(store, budget);
     let materialized = simp.materialize(db);
     evaluate(db, &materialized, tasks)
 }

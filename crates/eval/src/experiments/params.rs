@@ -56,7 +56,9 @@ fn score_config(
         seed,
         variant: PolicyVariant::FULL,
     };
-    let simp = rl.simplify(test_db, budget).materialize(test_db);
+    let simp = rl
+        .simplify_store(&test_db.to_store(), budget)
+        .materialize(test_db);
     let elapsed = started.elapsed().as_secs_f64();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9a);
     let tasks = build_tasks(
@@ -169,7 +171,9 @@ pub fn run_knn_k(scale: Scale, seed: u64) -> Table {
         seed,
         variant: PolicyVariant::FULL,
     };
-    let simplified = rl.simplify(&test_db, budget).materialize(&test_db);
+    let simplified = rl
+        .simplify_store(&test_db.to_store(), budget)
+        .materialize(&test_db);
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5b);
     let params = TaskParams::for_scale(scale, query_count(scale));

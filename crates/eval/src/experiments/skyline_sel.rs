@@ -65,11 +65,12 @@ pub fn run_one(scale: Scale, seed: u64, dist: QueryDistribution) -> SkylineOutco
     let tasks = build_tasks(&test_db, dist, params, &mut rng);
     let budget = ((test_db.total_points() as f64 * anchor_ratio) as usize)
         .max(traj_simp::min_points(&test_db));
+    let test_store = test_db.to_store();
 
     // The 25 baselines are independent: score them in parallel (the same
     // work-stealing helper the query engine's batch paths use).
     let scored: Vec<ScoredMethod> = traj_query::parallel::par_map(&suite, |method| {
-        let s = score_method(method.as_ref(), &test_db, budget, &tasks);
+        let s = score_method(method.as_ref(), &test_db, &test_store, budget, &tasks);
         ScoredMethod {
             name: method.name(),
             scores: s.as_vec(),

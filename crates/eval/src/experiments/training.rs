@@ -110,7 +110,9 @@ fn held_out_f1(
         seed,
         variant: PolicyVariant::FULL,
     };
-    let simp = rl.simplify(test_db, budget).materialize(test_db);
+    let simp = rl
+        .simplify_store(&test_db.to_store(), budget)
+        .materialize(test_db);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
     let tasks = build_tasks(
         test_db,

@@ -100,10 +100,13 @@ fn series(
     let budget =
         ((test_db.total_points() as f64 * ratio) as usize).max(traj_simp::min_points(test_db));
     let baseline = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each);
-    let baseline_simp = baseline.simplify(test_db, budget).materialize(test_db);
+    let test_store = test_db.to_store();
+    let baseline_simp = baseline
+        .simplify_store(&test_store, budget)
+        .materialize(test_db);
     // One ground-truth engine (and one over the fixed baseline) for the
     // whole distribution sweep; only per-run simplifications re-index.
-    let truth_engine = QueryEngine::over(test_db, EngineConfig::octree());
+    let truth_engine = QueryEngine::over_store(&test_store, EngineConfig::octree());
     let baseline_engine = QueryEngine::over(&baseline_simp, EngineConfig::octree());
 
     let mut header: Vec<String> = vec!["method".into()];
@@ -138,7 +141,7 @@ fn series(
                 seed: seed.wrapping_add(run_idx as u64 * 17),
                 variant: PolicyVariant::FULL,
             };
-            let simp = rl.simplify(test_db, budget).materialize(test_db);
+            let simp = rl.simplify_store(&test_store, budget).materialize(test_db);
             let simp_engine = QueryEngine::over(&simp, EngineConfig::octree());
             f1s.push(eval_range_with_engines(&truth_engine, &simp_engine, &tasks));
         }

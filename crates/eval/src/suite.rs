@@ -7,7 +7,7 @@ use rl4qdts::{PolicyVariant, Rl4Qdts, Rl4QdtsConfig, TrainerConfig};
 use traj_query::workload::{range_workload, QueryDistribution, RangeWorkloadSpec};
 use traj_simp::rlts::{RltsPlus, RltsTrainConfig};
 use traj_simp::{Adaptation, BottomUp, Simplifier, SpanSearch, TopDown};
-use trajectory::{Cube, ErrorMeasure, Simplification, TrajectoryDb};
+use trajectory::{Cube, ErrorMeasure, PointStore, Simplification, TrajectoryDb};
 
 /// Builds the paper's 25 baselines: {Top-Down, Bottom-Up, RLTS+} × {SED,
 /// PED, DAD, SAD} × {E, W} + Span-Search. RLTS+ policies are trained on
@@ -88,9 +88,9 @@ impl Simplifier for Rl4QdtsSimplifier {
         self.variant.label().to_string()
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
+    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
         self.model
-            .simplify_variant(db, budget, &self.state_queries, self.seed, self.variant)
+            .simplify_variant(store, budget, &self.state_queries, self.seed, self.variant)
     }
 }
 
@@ -183,10 +183,11 @@ mod tests {
     fn every_baseline_respects_budgets() {
         let db = generate(&DatasetSpec::geolife(Scale::Smoke), 7);
         let suite = baseline_suite(&db, 3);
-        let budget = db.total_points() / 10;
-        let floor = traj_simp::min_points(&db);
+        let store = db.to_store();
+        let budget = store.total_points() / 10;
+        let floor = traj_simp::min_points_store(&store);
         for s in &suite {
-            let simp = s.simplify(&db, budget);
+            let simp = s.simplify_store(&store, budget);
             assert!(
                 simp.total_points() <= budget.max(floor),
                 "{} overshot: {} > {}",

@@ -651,7 +651,9 @@ pub fn merge_knn_candidates(k: usize, per_stream: &[Vec<(f64, TrajId)>]) -> Vec<
             }));
         }
     }
-    let mut merged: Vec<(f64, TrajId)> = Vec::with_capacity(k);
+    // `k` comes from the client: size by what the streams can yield.
+    let available: usize = per_stream.iter().map(Vec::len).sum();
+    let mut merged: Vec<(f64, TrajId)> = Vec::with_capacity(k.min(available));
     while merged.len() < k {
         let Some(std::cmp::Reverse(e)) = heap.pop() else {
             break;
@@ -819,6 +821,35 @@ mod tests {
             };
             assert_eq!(sharded.knn(&q), single.knn(&q), "k={k} ts={ts} te={te}");
         }
+    }
+
+    #[test]
+    fn merge_with_huge_k_returns_every_candidate() {
+        let streams = vec![vec![(0.5, 2), (2.0, 0)], vec![], vec![(1.0, 1)]];
+        assert_eq!(
+            merge_knn_candidates(usize::MAX / 2, &streams),
+            vec![(0.5, 2), (1.0, 1), (2.0, 0)]
+        );
+    }
+
+    #[test]
+    fn sharded_knn_with_huge_k_returns_every_id() {
+        let store = sample_store();
+        let (t0, t1) = store.time_span();
+        let sharded = ShardedQueryEngine::from_partition(
+            &store,
+            &PartitionStrategy::Time { parts: 3 },
+            EngineConfig::octree(),
+        );
+        let q = KnnQuery {
+            query: store.to_db().get(0).clone(),
+            ts: t0,
+            te: t1,
+            k: usize::MAX / 2,
+            measure: Dissimilarity::Edr { eps: 1_000.0 },
+        };
+        let all: Vec<TrajId> = (0..store.len()).collect();
+        assert_eq!(sharded.knn(&q), all);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! proportional budget; **Whole** ("W") treats the database as one global
 //! pool of insertion/drop candidates.
 
-use trajectory::{PointStore, TrajectoryDb};
+use trajectory::PointStore;
 
 /// How a trajectory-level algorithm is adapted to a database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,20 +28,8 @@ impl std::fmt::Display for Adaptation {
 /// the rest is distributed proportionally to trajectory length
 /// (largest-remainder rounding), and the total never exceeds
 /// `max(budget, Σ min(|T|, 2))`.
-pub fn per_trajectory_budgets(db: &TrajectoryDb, budget: usize) -> Vec<usize> {
-    let lens: Vec<usize> = db.trajectories().iter().map(|t| t.len()).collect();
-    budgets_for_lengths(&lens, budget)
-}
-
-/// [`per_trajectory_budgets`] over columnar storage (only the per-
-/// trajectory lengths matter, which are offset-table differences).
 pub fn per_trajectory_budgets_store(store: &PointStore, budget: usize) -> Vec<usize> {
     let lens: Vec<usize> = store.views().map(|v| v.len()).collect();
-    budgets_for_lengths(&lens, budget)
-}
-
-/// Layout-independent core of the proportional budget split.
-fn budgets_for_lengths(lens: &[usize], budget: usize) -> Vec<usize> {
     let n: usize = lens.iter().sum();
     let mut budgets: Vec<usize> = lens.iter().map(|&len| len.min(2)).collect();
     let floor_total: usize = budgets.iter().sum();
@@ -79,9 +67,9 @@ fn budgets_for_lengths(lens: &[usize], budget: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::{Point, Trajectory};
+    use trajectory::{Point, Trajectory, TrajectoryDb};
 
-    fn db(lens: &[usize]) -> TrajectoryDb {
+    fn store(lens: &[usize]) -> PointStore {
         TrajectoryDb::new(
             lens.iter()
                 .map(|&n| {
@@ -94,13 +82,14 @@ mod tests {
                 })
                 .collect(),
         )
+        .to_store()
     }
 
     #[test]
     fn budgets_respect_total_and_floors() {
-        let db = db(&[100, 200, 700]);
+        let store = store(&[100, 200, 700]);
         let budget = 100; // 10% of 1000
-        let budgets = per_trajectory_budgets(&db, budget);
+        let budgets = per_trajectory_budgets_store(&store, budget);
         assert!(budgets.iter().sum::<usize>() <= budget);
         assert!(budgets.iter().all(|&b| b >= 2));
         // Proportionality: the 700-point trajectory gets the biggest share.
@@ -109,23 +98,23 @@ mod tests {
 
     #[test]
     fn tiny_budget_degrades_to_endpoints() {
-        let db = db(&[50, 50]);
-        let budgets = per_trajectory_budgets(&db, 1);
+        let store = store(&[50, 50]);
+        let budgets = per_trajectory_budgets_store(&store, 1);
         assert_eq!(budgets, vec![2, 2]);
     }
 
     #[test]
     fn budget_larger_than_db_caps_at_lengths() {
-        let db = db(&[5, 7]);
-        let budgets = per_trajectory_budgets(&db, 1_000);
+        let store = store(&[5, 7]);
+        let budgets = per_trajectory_budgets_store(&store, 1_000);
         assert!(budgets[0] <= 5 && budgets[1] <= 7);
         assert_eq!(budgets.iter().sum::<usize>(), 12);
     }
 
     #[test]
     fn single_point_trajectories_get_one() {
-        let db = db(&[1, 10]);
-        let budgets = per_trajectory_budgets(&db, 6);
+        let store = store(&[1, 10]);
+        let budgets = per_trajectory_budgets_store(&store, 6);
         assert_eq!(budgets[0], 1);
         assert!(budgets[1] >= 2);
     }

@@ -2,21 +2,17 @@
 //! trajectory and repeatedly *drop* the point whose removal introduces the
 //! smallest error, until the budget is met.
 //!
-//! The drop loop is implemented twice over the same heap discipline: the
-//! AoS path walks [`Trajectory`] point slices, the **native columnar**
-//! path ([`Simplifier::simplify_store`]) walks zero-copy
-//! [`TrajView`](trajectory::TrajView)s straight off the columns — no
-//! `Vec<Point>` trajectories are materialized, no AoS round-trip. Both
-//! paths push and pop identical cost sequences through the shared
-//! [`LazyHeap`], so their kept sets are equal point-for-point
-//! (equality-tested for all four error measures and both adaptations).
+//! Both adaptations walk zero-copy [`TrajView`](trajectory::TrajView)s
+//! through [`PointSeq`]: "E" runs [`bottomup_one`] on each trajectory,
+//! keeping its kept points in a doubly-linked list; "W" runs one global
+//! drop heap over the whole store. Both push and pop cost sequences
+//! through the shared [`LazyHeap`] in the same discipline, so on a
+//! one-trajectory store they keep the same points.
 
-use crate::adapt::{per_trajectory_budgets, per_trajectory_budgets_store, Adaptation};
+use crate::adapt::{per_trajectory_budgets_store, Adaptation};
 use crate::heap::LazyHeap;
 use crate::Simplifier;
-use trajectory::{
-    AsColumns, ErrorMeasure, PointSeq, PointStore, Simplification, TrajId, Trajectory, TrajectoryDb,
-};
+use trajectory::{AsColumns, ErrorMeasure, PointSeq, PointStore, Simplification, TrajId};
 
 /// The Bottom-Up baseline, parameterized by error measure and adaptation.
 #[derive(Debug, Clone, Copy)]
@@ -42,23 +38,6 @@ impl Simplifier for BottomUp {
         format!("Bottom-Up({},{})", self.adaptation, self.measure)
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
-        match self.adaptation {
-            Adaptation::Each => {
-                let budgets = per_trajectory_budgets(db, budget);
-                let kept = db
-                    .iter()
-                    .map(|(id, t)| bottomup_one(t, budgets[id], self.measure))
-                    .collect();
-                Simplification::from_kept(db, kept)
-            }
-            Adaptation::Whole => bottomup_whole(db, budget, self.measure),
-        }
-    }
-
-    /// Native columnar Bottom-Up: the drop loops run directly over
-    /// zero-copy [`TrajView`](trajectory::TrajView)s — identical kept
-    /// sets to [`Simplifier::simplify`] on the equivalent database.
     fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
         match self.adaptation {
             Adaptation::Each => {
@@ -66,7 +45,7 @@ impl Simplifier for BottomUp {
                 let kept = store
                     .views()
                     .enumerate()
-                    .map(|(id, v)| bottomup_one_seq(&v, budgets[id], self.measure))
+                    .map(|(id, v)| bottomup_one(&v, budgets[id], self.measure))
                     .collect();
                 Simplification::from_kept_store(store, kept)
             }
@@ -75,38 +54,11 @@ impl Simplifier for BottomUp {
     }
 }
 
-/// The cost of dropping kept point `idx`: the Eq. 1 segment error of the
-/// merged anchor `(left, right)` that removal would create.
-fn drop_cost(
-    traj: &Trajectory,
-    simp: &Simplification,
-    id: TrajId,
-    idx: u32,
-    m: ErrorMeasure,
-) -> Option<f64> {
-    let (l, r) = simp.kept_neighbors(id, idx)?;
-    Some(m.segment_error(traj, l as usize, r as usize))
-}
-
-/// Bottom-Up for a single trajectory under a point budget.
-pub fn bottomup_one(traj: &Trajectory, budget: usize, measure: ErrorMeasure) -> Vec<u32> {
-    let n = traj.len();
-    if n <= 2 {
-        return (0..n as u32).collect();
-    }
-    let budget = budget.clamp(2, n);
-    let db = TrajectoryDb::new(vec![traj.clone()]);
-    let mut simp = Simplification::full(&db);
-    run_bottomup_db(&db, &mut simp, budget, measure);
-    simp.kept(0).to_vec()
-}
-
-/// Layout-agnostic single-trajectory Bottom-Up: the same drop loop over
-/// any [`PointSeq`] — kept indices are maintained in a doubly-linked
-/// prev/next list instead of a [`Simplification`], but costs, version
-/// stamps, and heap operations occur in exactly the order of
-/// [`bottomup_one`], so the kept sets are identical.
-pub fn bottomup_one_seq<S: PointSeq + ?Sized>(
+/// Bottom-Up for a single trajectory (any [`PointSeq`]) under a point
+/// budget. Kept indices live in a doubly-linked prev/next list; costs,
+/// version stamps and heap operations occur in the order of the "W" loop
+/// on a one-trajectory store, so the kept sets are identical.
+pub fn bottomup_one<S: PointSeq + ?Sized>(
     seq: &S,
     budget: usize,
     measure: ErrorMeasure,
@@ -155,19 +107,8 @@ pub fn bottomup_one_seq<S: PointSeq + ?Sized>(
     (0..n as u32).filter(|&i| kept[i as usize]).collect()
 }
 
-/// Bottom-Up over the whole database: one global min-heap of drop costs.
-fn bottomup_whole(db: &TrajectoryDb, budget: usize, measure: ErrorMeasure) -> Simplification {
-    let mut simp = Simplification::full(db);
-    let budget = budget.max(crate::min_points(db));
-    run_bottomup_db(db, &mut simp, budget, measure);
-    simp
-}
-
-/// [`bottomup_whole`] walking columns natively: per-trajectory point
-/// access is a [`TrajView`](trajectory::TrajView) sub-slice lookup
-/// instead of a pointer chase through `Vec<Trajectory>`. Heap order,
-/// tie-breaking, and therefore the kept sets are identical to the AoS
-/// path.
+/// Bottom-Up over the whole store ("W"): one global min-heap of drop
+/// costs.
 fn bottomup_whole_store(
     store: &PointStore,
     budget: usize,
@@ -179,7 +120,7 @@ fn bottomup_whole_store(
     let mut heap: LazyHeap<(TrajId, u32)> = LazyHeap::new();
     for (id, v) in AsColumns::iter(store) {
         for idx in 1..v.len().saturating_sub(1) as u32 {
-            if let Some(c) = drop_cost_seq(&v, &simp, id, idx, measure) {
+            if let Some(c) = drop_cost(&v, &simp, id, idx, measure) {
                 heap.push(-c, 0, (id, idx));
             }
         }
@@ -197,7 +138,7 @@ fn bottomup_whole_store(
         for nb in [l, r] {
             if simp.kept_neighbors(id, nb).is_some() {
                 versions[id][nb as usize] += 1;
-                if let Some(c) = drop_cost_seq(&v, &simp, id, nb, measure) {
+                if let Some(c) = drop_cost(&v, &simp, id, nb, measure) {
                     heap.push(-c, versions[id][nb as usize], (id, nb));
                 }
             }
@@ -206,8 +147,9 @@ fn bottomup_whole_store(
     simp
 }
 
-/// [`drop_cost`] over any [`PointSeq`] (same Eq. 1 segment error).
-fn drop_cost_seq<S: PointSeq + ?Sized>(
+/// The cost of dropping kept point `idx`: the Eq. 1 segment error of the
+/// merged anchor `(left, right)` that removal would create.
+fn drop_cost<S: PointSeq + ?Sized>(
     seq: &S,
     simp: &Simplification,
     id: TrajId,
@@ -218,56 +160,10 @@ fn drop_cost_seq<S: PointSeq + ?Sized>(
     Some(m.segment_error_seq(seq, l as usize, r as usize))
 }
 
-/// Core drop loop shared by both adaptations (the per-trajectory case is a
-/// single-trajectory database).
-fn run_bottomup_db(
-    db: &TrajectoryDb,
-    simp: &mut Simplification,
-    budget: usize,
-    measure: ErrorMeasure,
-) {
-    // Version stamps: an entry for (id, idx) is valid only if the stamp
-    // matches (neighbors unchanged since push) and the point is still kept.
-    let mut versions: Vec<Vec<u64>> = db
-        .trajectories()
-        .iter()
-        .map(|t| vec![0u64; t.len()])
-        .collect();
-    let mut heap: LazyHeap<(TrajId, u32)> = LazyHeap::new();
-    for (id, t) in db.iter() {
-        for idx in 1..t.len().saturating_sub(1) as u32 {
-            if let Some(c) = drop_cost(t, simp, id, idx, measure) {
-                heap.push(-c, 0, (id, idx)); // negate: LazyHeap is a max-heap
-            }
-        }
-    }
-    let mut total = simp.total_points();
-    while total > budget {
-        let popped = heap
-            .pop_current(|&(id, idx), v| versions[id][idx as usize] == v && simp.contains(id, idx));
-        let Some((_, (id, idx))) = popped else { break };
-        let (l, r) = simp.kept_neighbors(id, idx).expect("validated current");
-        let removed = simp.remove(id, idx);
-        debug_assert!(removed);
-        total -= 1;
-        // The bracketing neighbors' drop costs changed: re-push with fresh
-        // stamps.
-        let t = db.get(id);
-        for nb in [l, r] {
-            if simp.kept_neighbors(id, nb).is_some() {
-                versions[id][nb as usize] += 1;
-                if let Some(c) = drop_cost(t, simp, id, nb, measure) {
-                    heap.push(-c, versions[id][nb as usize], (id, nb));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::Point;
+    use trajectory::{Point, Trajectory, TrajectoryDb};
 
     fn zigzag(n: usize, amp: f64) -> Trajectory {
         Trajectory::new(
@@ -323,7 +219,7 @@ mod tests {
         .unwrap();
         let db = TrajectoryDb::new(vec![wild, straight]);
         let bu = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole);
-        let simp = bu.simplify(&db, 34);
+        let simp = bu.simplify_store(&db.to_store(), 34);
         assert_eq!(simp.total_points(), 34);
         assert!(
             simp.kept(0).len() > simp.kept(1).len(),
@@ -339,16 +235,16 @@ mod tests {
     fn budget_below_floor_clamps_to_endpoints() {
         let db = TrajectoryDb::new(vec![zigzag(10, 1.0), zigzag(10, 1.0)]);
         let bu = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole);
-        let simp = bu.simplify(&db, 0);
+        let simp = bu.simplify_store(&db.to_store(), 0);
         assert_eq!(simp.total_points(), 4);
     }
 
     #[test]
     fn all_measures_and_adaptations_run() {
-        let db = TrajectoryDb::new(vec![zigzag(25, 5.0), zigzag(12, 2.0)]);
+        let store = TrajectoryDb::new(vec![zigzag(25, 5.0), zigzag(12, 2.0)]).to_store();
         for m in ErrorMeasure::ALL {
             for a in [Adaptation::Each, Adaptation::Whole] {
-                let simp = BottomUp::new(m, a).simplify(&db, 12);
+                let simp = BottomUp::new(m, a).simplify_store(&store, 12);
                 assert!(simp.total_points() <= 12, "{m} {a}");
             }
         }
@@ -363,19 +259,18 @@ mod tests {
     }
 
     #[test]
-    fn simplify_store_matches_aos_for_all_measures_and_adaptations() {
-        // The native columnar path must produce the exact kept sets of
-        // the AoS path: same drop order, same tie-breaking.
-        let db = TrajectoryDb::new(vec![zigzag(40, 8.0), zigzag(25, 3.0), zigzag(7, 30.0)]);
-        let store = db.to_store();
-        for m in ErrorMeasure::ALL {
-            for a in [Adaptation::Each, Adaptation::Whole] {
-                for budget in [6, 20, 50, 200] {
-                    let bu = BottomUp::new(m, a);
+    fn each_matches_whole_on_single_trajectory_stores() {
+        // On a one-trajectory store the per-trajectory heap ("E") and the
+        // global heap ("W") see the same drop costs: same drop order, same
+        // tie-breaking, same kept sets.
+        for t in [zigzag(40, 8.0), zigzag(25, 3.0), zigzag(7, 30.0)] {
+            let store = TrajectoryDb::new(vec![t]).to_store();
+            for m in ErrorMeasure::ALL {
+                for budget in [0, 6, 20, 50, 200] {
                     assert_eq!(
-                        bu.simplify_store(&store, budget),
-                        bu.simplify(&db, budget),
-                        "{m} {a} budget {budget}"
+                        BottomUp::new(m, Adaptation::Each).simplify_store(&store, budget),
+                        BottomUp::new(m, Adaptation::Whole).simplify_store(&store, budget),
+                        "{m} budget {budget}"
                     );
                 }
             }
@@ -383,15 +278,16 @@ mod tests {
     }
 
     #[test]
-    fn one_seq_matches_one_on_views() {
-        let t = zigzag(33, 6.0);
-        let db = TrajectoryDb::new(vec![t.clone()]);
-        let store = db.to_store();
+    fn linked_list_one_matches_whole_on_views() {
+        // The linked-list loop of `bottomup_one` against the
+        // `Simplification`-backed global loop of "W".
+        let store = TrajectoryDb::new(vec![zigzag(33, 6.0)]).to_store();
         for m in ErrorMeasure::ALL {
             for budget in [2, 5, 12, 33] {
+                let whole = BottomUp::new(m, Adaptation::Whole).simplify_store(&store, budget);
                 assert_eq!(
-                    bottomup_one_seq(&store.view(0), budget, m),
-                    bottomup_one(&t, budget, m),
+                    bottomup_one(&store.view(0), budget, m),
+                    whole.kept(0),
                     "{m} budget {budget}"
                 );
             }

@@ -19,6 +19,13 @@
 //! Each algorithm is generic over the four error measures where the
 //! original supports them, yielding the paper's 25 baselines
 //! (3 algorithms × 4 measures × 2 adaptations + Span-Search).
+//!
+//! Every simplifier has one implementation per adaptation, and it runs on
+//! the columnar [`PointStore`]: the loops walk zero-copy
+//! [`TrajView`](trajectory::TrajView)s through
+//! [`PointSeq`](trajectory::PointSeq), so no `Vec<Point>` trajectories are
+//! built. A caller holding a [`TrajectoryDb`] converts it once with
+//! [`TrajectoryDb::to_store`].
 
 #![warn(missing_docs)]
 
@@ -34,7 +41,7 @@ pub mod streaming;
 pub mod topdown;
 pub mod uniform;
 
-pub use adapt::{per_trajectory_budgets, Adaptation};
+pub use adapt::{per_trajectory_budgets_store, Adaptation};
 pub use bottomup::BottomUp;
 pub use bounded::{bounded_db, bounded_one, min_eps_for_budget};
 pub use onepass::OnePassSed;
@@ -51,7 +58,7 @@ pub use uniform::Uniform;
 
 use trajectory::{PointStore, Simplification, TrajectoryDb};
 
-/// A database simplification algorithm: reduce `db` to at most `budget`
+/// A database simplification algorithm: reduce a store to at most `budget`
 /// total points (every trajectory always keeps its endpoints, so the
 /// effective floor is `Σ min(|T|, 2)`).
 ///
@@ -63,20 +70,10 @@ pub trait Simplifier: Send + Sync {
     /// `"Top-Down(E,PED)"`.
     fn name(&self) -> String;
 
-    /// Produces the simplification.
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification;
-
     /// Produces the simplification of a columnar store. The resulting
     /// kept-index sets line up with the store's per-trajectory views, so
-    /// `simp.materialize_store(store)` (a column gather) yields `D'`
-    /// without round-tripping through `Vec<Point>` trajectories.
-    ///
-    /// The default implementation materializes an AoS copy and delegates
-    /// to [`Simplifier::simplify`]; algorithms migrate to native column
-    /// walks incrementally.
-    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
-        self.simplify(&store.to_db(), budget)
-    }
+    /// `simp.materialize_store(store)` (a column gather) yields `D'`.
+    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification;
 }
 
 /// Effective lower bound on the number of points any simplification keeps.

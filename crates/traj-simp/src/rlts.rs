@@ -11,13 +11,13 @@
 //! trajectory-level technique); the E/W adaptations only change how the
 //! trained policy is *applied* to a database.
 
-use crate::adapt::{per_trajectory_budgets, Adaptation};
+use crate::adapt::{per_trajectory_budgets_store, Adaptation};
 use crate::heap::LazyHeap;
 use crate::Simplifier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tiny_rl::{Dqn, DqnConfig, Transition};
-use trajectory::{ErrorMeasure, Simplification, TrajId, TrajectoryDb};
+use trajectory::{ErrorMeasure, PointSeq, PointStore, Simplification, TrajId, TrajectoryDb};
 
 /// The RLTS+ baseline.
 #[derive(Debug, Clone)]
@@ -75,9 +75,7 @@ impl RltsPlus {
                 continue;
             }
             let budget = ((traj.len() as f64 * config.ratio) as usize).max(2);
-            let single = TrajectoryDb::new(vec![traj.clone()]);
-            let mut simp = Simplification::full(&single);
-            run_policy_drop(&single, &mut simp, budget, measure, k, &mut agent, true);
+            run_policy_drop(&[traj], budget, measure, k, &mut agent, true);
         }
         agent.freeze();
         Self {
@@ -112,88 +110,70 @@ impl Simplifier for RltsPlus {
         format!("RLTS+({},{})", self.adaptation, self.measure)
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
+    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
         // The trained agent is cloned so inference stays `&self` and
         // repeated calls are independent and deterministic.
         let mut agent = self.agent.clone();
         agent.freeze();
-        match self.adaptation {
+        let (measure, k) = (self.measure, self.k);
+        let kept = match self.adaptation {
             Adaptation::Each => {
-                let budgets = per_trajectory_budgets(db, budget);
-                let mut kept = Vec::with_capacity(db.len());
-                for (id, t) in db.iter() {
-                    let single = TrajectoryDb::new(vec![t.clone()]);
-                    let mut simp = Simplification::full(&single);
-                    run_policy_drop(
-                        &single,
-                        &mut simp,
-                        budgets[id].clamp(2, t.len()),
-                        self.measure,
-                        self.k,
-                        &mut agent,
-                        false,
-                    );
-                    kept.push(simp.kept(0).to_vec());
-                }
-                Simplification::from_kept(db, kept)
+                let budgets = per_trajectory_budgets_store(store, budget);
+                store
+                    .views()
+                    .zip(budgets)
+                    .map(|(v, b)| {
+                        let mut kept = run_policy_drop(&[v], b, measure, k, &mut agent, false);
+                        kept.pop().expect("one trajectory in, one kept list out")
+                    })
+                    .collect()
             }
             Adaptation::Whole => {
-                let mut simp = Simplification::full(db);
-                let budget = budget.max(crate::min_points(db));
-                run_policy_drop(
-                    db,
-                    &mut simp,
-                    budget,
-                    self.measure,
-                    self.k,
-                    &mut agent,
-                    false,
-                );
-                simp
+                let views: Vec<_> = store.views().collect();
+                let budget = budget.max(crate::min_points_store(store));
+                run_policy_drop(&views, budget, measure, k, &mut agent, false)
             }
-        }
+        };
+        Simplification::from_kept_store(store, kept)
     }
 }
 
-/// Drop cost of a kept interior point (Eq. 1 error of the merged anchor).
-fn drop_cost(
-    db: &TrajectoryDb,
-    simp: &Simplification,
-    id: TrajId,
-    idx: u32,
-    m: ErrorMeasure,
-) -> Option<f64> {
-    let (l, r) = simp.kept_neighbors(id, idx)?;
-    Some(m.segment_error(db.get(id), l as usize, r as usize))
-}
-
-/// The shared Bottom-Up-with-a-policy loop. With `learn = true` it explores
-/// ε-greedily, stores transitions, and trains the agent; otherwise it acts
-/// greedily.
-fn run_policy_drop(
-    db: &TrajectoryDb,
-    simp: &mut Simplification,
+/// The shared Bottom-Up-with-a-policy loop over the trajectories `seqs`
+/// (one for a per-trajectory run, all of them for "W"); returns the kept
+/// indices of each. With `learn = true` it explores ε-greedily, stores
+/// transitions, and trains the agent; otherwise it acts greedily.
+fn run_policy_drop<S: PointSeq>(
+    seqs: &[S],
     budget: usize,
     measure: ErrorMeasure,
     k: usize,
     agent: &mut Dqn,
     learn: bool,
-) {
-    let mut versions: Vec<Vec<u64>> = db
-        .trajectories()
+) -> Vec<Vec<u32>> {
+    // Kept points form one doubly-linked list per trajectory: `prev` and
+    // `next` hold the kept neighbours of every still-kept index.
+    let lens: Vec<u32> = seqs.iter().map(|s| s.n_points() as u32).collect();
+    let mut prev: Vec<Vec<u32>> = lens
         .iter()
-        .map(|t| vec![0u64; t.len()])
+        .map(|&n| (0..n).map(|i| i.wrapping_sub(1)).collect())
         .collect();
+    let mut next: Vec<Vec<u32>> = lens.iter().map(|&n| (1..=n).collect()).collect();
+    let mut kept: Vec<Vec<bool>> = lens.iter().map(|&n| vec![true; n as usize]).collect();
+    let mut versions: Vec<Vec<u64>> = lens.iter().map(|&n| vec![0; n as usize]).collect();
+    // Drop cost of kept interior point `idx`: the Eq. 1 error of the
+    // merged anchor.
+    let drop_cost = |prev: &[u32], next: &[u32], id: TrajId, idx: u32| {
+        let i = idx as usize;
+        measure.segment_error_seq(&seqs[id], prev[i] as usize, next[i] as usize)
+    };
     let mut heap: LazyHeap<(TrajId, u32)> = LazyHeap::new();
-    for (id, t) in db.iter() {
-        for idx in 1..t.len().saturating_sub(1) as u32 {
-            if let Some(c) = drop_cost(db, simp, id, idx, measure) {
-                heap.push(-c, 0, (id, idx));
-            }
+    for (id, &n) in lens.iter().enumerate() {
+        for idx in 1..n.saturating_sub(1) {
+            heap.push(-drop_cost(&prev[id], &next[id], id, idx), 0, (id, idx));
         }
     }
 
-    let mut total = simp.total_points();
+    let mut total: usize = lens.iter().map(|&n| n as usize).sum();
     let mut running_err = 0.0f64;
     // Pending (state, action) waiting for the next state to complete a
     // transition.
@@ -204,7 +184,7 @@ fn run_policy_drop(
         let mut candidates: Vec<(f64, (TrajId, u32))> = Vec::with_capacity(k);
         while candidates.len() < k {
             let popped = heap.pop_current(|&(id, idx), v| {
-                versions[id][idx as usize] == v && simp.contains(id, idx)
+                versions[id][idx as usize] == v && kept[id][idx as usize]
             });
             match popped {
                 Some((neg_cost, payload)) => candidates.push((-neg_cost, payload)),
@@ -252,16 +232,19 @@ fn run_policy_drop(
             }
         }
 
-        let (l, r) = simp.kept_neighbors(id, idx).expect("candidate is current");
-        let removed = simp.remove(id, idx);
-        debug_assert!(removed);
+        let i = idx as usize;
+        let (l, r) = (prev[id][i], next[id][i]);
+        kept[id][i] = false;
+        next[id][l as usize] = r;
+        prev[id][r as usize] = l;
         total -= 1;
+        // The bracketing neighbours' drop costs changed: re-push with
+        // fresh stamps (endpoints are never dropped, so they never enter).
         for nb in [l, r] {
-            if simp.kept_neighbors(id, nb).is_some() {
+            if nb != 0 && nb != lens[id] - 1 {
                 versions[id][nb as usize] += 1;
-                if let Some(c) = drop_cost(db, simp, id, nb, measure) {
-                    heap.push(-c, versions[id][nb as usize], (id, nb));
-                }
+                let c = drop_cost(&prev[id], &next[id], id, nb);
+                heap.push(-c, versions[id][nb as usize], (id, nb));
             }
         }
 
@@ -287,6 +270,9 @@ fn run_policy_drop(
             agent.train_step();
         }
     }
+    kept.iter()
+        .map(|k| (0..k.len() as u32).filter(|&i| k[i as usize]).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -317,31 +303,31 @@ mod tests {
     #[test]
     fn respects_budget_each() {
         let rlts = trained();
-        let db = train_db();
-        let budget = db.total_points() / 10;
-        let simp = rlts.simplify(&db, budget);
-        assert!(simp.total_points() <= budget.max(crate::min_points(&db)));
-        for (id, t) in db.iter() {
+        let store = train_db().to_store();
+        let budget = store.total_points() / 10;
+        let simp = rlts.simplify_store(&store, budget);
+        assert!(simp.total_points() <= budget.max(crate::min_points_store(&store)));
+        for (id, v) in store.views().enumerate() {
             assert_eq!(simp.kept(id)[0], 0);
-            assert_eq!(*simp.kept(id).last().unwrap(), t.len() as u32 - 1);
+            assert_eq!(*simp.kept(id).last().unwrap(), v.len() as u32 - 1);
         }
     }
 
     #[test]
     fn respects_budget_whole() {
         let rlts = trained().with_adaptation(Adaptation::Whole);
-        let db = train_db();
-        let budget = db.total_points() / 8;
-        let simp = rlts.simplify(&db, budget);
-        assert!(simp.total_points() <= budget.max(crate::min_points(&db)));
+        let store = train_db().to_store();
+        let budget = store.total_points() / 8;
+        let simp = rlts.simplify_store(&store, budget);
+        assert!(simp.total_points() <= budget.max(crate::min_points_store(&store)));
     }
 
     #[test]
     fn inference_is_deterministic() {
         let rlts = trained();
-        let db = train_db();
-        let a = rlts.simplify(&db, db.total_points() / 10);
-        let b = rlts.simplify(&db, db.total_points() / 10);
+        let store = train_db().to_store();
+        let a = rlts.simplify_store(&store, store.total_points() / 10);
+        let b = rlts.simplify_store(&store, store.total_points() / 10);
         assert_eq!(a, b);
     }
 
@@ -359,8 +345,8 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let db = TrajectoryDb::new(vec![t.clone()]);
-        let simp = rlts.simplify(&db, 20);
+        let store = TrajectoryDb::new(vec![t.clone()]).to_store();
+        let simp = rlts.simplify_store(&store, 20);
         let e_rl = ErrorMeasure::Sed.trajectory_error(&t, simp.kept(0));
         let bu = crate::bottomup::bottomup_one(&t, 20, ErrorMeasure::Sed);
         let e_bu = ErrorMeasure::Sed.trajectory_error(&t, &bu);

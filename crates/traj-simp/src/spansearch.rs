@@ -11,9 +11,9 @@
 //! Only the "E" adaptation exists (the paper notes "W" is not possible:
 //! the greedy span cover is inherently per-trajectory).
 
-use crate::adapt::per_trajectory_budgets;
+use crate::adapt::per_trajectory_budgets_store;
 use crate::Simplifier;
-use trajectory::{geom, Simplification, Trajectory, TrajectoryDb};
+use trajectory::{geom, PointSeq, PointStore, Simplification};
 
 /// The Span-Search baseline (DAD, "E" adaptation).
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,20 +24,21 @@ impl Simplifier for SpanSearch {
         "Span-Search".to_string()
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
-        let budgets = per_trajectory_budgets(db, budget);
-        let kept = db
-            .iter()
-            .map(|(id, t)| spansearch_one(t, budgets[id]))
+    fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
+        let budgets = per_trajectory_budgets_store(store, budget);
+        let kept = store
+            .views()
+            .enumerate()
+            .map(|(id, v)| spansearch_one(&v, budgets[id]))
             .collect();
-        Simplification::from_kept(db, kept)
+        Simplification::from_kept_store(store, kept)
     }
 }
 
-/// Simplifies one trajectory to at most `budget` points, minimizing the
-/// DAD tolerance by binary search over ε ∈ [0, π].
-pub fn spansearch_one(traj: &Trajectory, budget: usize) -> Vec<u32> {
-    let n = traj.len();
+/// Simplifies one trajectory (any [`PointSeq`]) to at most `budget`
+/// points, minimizing the DAD tolerance by binary search over ε ∈ [0, π].
+pub fn spansearch_one<S: PointSeq + ?Sized>(seq: &S, budget: usize) -> Vec<u32> {
+    let n = seq.n_points();
     if n <= 2 {
         return (0..n as u32).collect();
     }
@@ -45,10 +46,10 @@ pub fn spansearch_one(traj: &Trajectory, budget: usize) -> Vec<u32> {
     // Feasibility is monotone in ε: a larger tolerance allows longer spans.
     let mut lo = 0.0f64;
     let mut hi = std::f64::consts::PI;
-    let mut best = greedy_cover(traj, hi);
+    let mut best = greedy_cover(seq, hi);
     for _ in 0..40 {
         let mid = 0.5 * (lo + hi);
-        let cover = greedy_cover(traj, mid);
+        let cover = greedy_cover(seq, mid);
         if cover.len() <= budget {
             best = cover;
             hi = mid;
@@ -62,9 +63,9 @@ pub fn spansearch_one(traj: &Trajectory, budget: usize) -> Vec<u32> {
 /// Greedy maximal-span cover at tolerance `eps`: from each start point,
 /// extend the span while the angular constraint intersection stays
 /// non-empty and contains the anchor's own heading.
-fn greedy_cover(traj: &Trajectory, eps: f64) -> Vec<u32> {
-    let n = traj.len();
-    let pts = traj.points();
+fn greedy_cover<S: PointSeq + ?Sized>(seq: &S, eps: f64) -> Vec<u32> {
+    let n = seq.n_points();
+    let dir = |a: usize, b: usize| geom::direction(&seq.point_at(a), &seq.point_at(b));
     // At ε ≥ π every heading satisfies every constraint (angle_diff ≤ π),
     // and the linear interval unwrapping below is only valid for ε < π.
     if eps >= std::f64::consts::PI {
@@ -75,14 +76,14 @@ fn greedy_cover(traj: &Trajectory, eps: f64) -> Vec<u32> {
     while s < n - 1 {
         // Interval intersection of [d_i - eps, d_i + eps], unwrapped
         // around the first segment's heading to avoid circular logic.
-        let base = geom::direction(&pts[s], &pts[s + 1]);
+        let base = dir(s, s + 1);
         let mut lo = -eps;
         let mut hi = eps;
         let mut e = s + 1;
         // Invariant: span (s, e) is feasible.
         while e < n - 1 {
             let next = e + 1;
-            let d = unwrap_near(geom::direction(&pts[e], &pts[e + 1]) - base);
+            let d = unwrap_near(dir(e, e + 1) - base);
             let nlo = lo.max(d - eps);
             let nhi = hi.min(d + eps);
             if nlo > nhi {
@@ -90,7 +91,7 @@ fn greedy_cover(traj: &Trajectory, eps: f64) -> Vec<u32> {
             }
             // The anchor heading of the extended span must itself satisfy
             // every constraint (that's what DAD measures against).
-            let anchor = unwrap_near(geom::direction(&pts[s], &pts[next]) - base);
+            let anchor = unwrap_near(dir(s, next) - base);
             if anchor < nlo - 1e-12 || anchor > nhi + 1e-12 {
                 break;
             }
@@ -119,7 +120,7 @@ fn unwrap_near(mut d: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::{ErrorMeasure, Point};
+    use trajectory::{ErrorMeasure, Point, Trajectory, TrajectoryDb};
 
     fn traj(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -186,11 +187,12 @@ mod tests {
 
     #[test]
     fn simplifier_impl_covers_database() {
-        let db = TrajectoryDb::new(vec![
+        let store = TrajectoryDb::new(vec![
             traj(&[(0.0, 0.0), (10.0, 0.0), (20.0, 5.0), (30.0, 0.0)]),
             traj(&[(0.0, 0.0), (0.0, 10.0)]),
-        ]);
-        let simp = SpanSearch.simplify(&db, 5);
+        ])
+        .to_store();
+        let simp = SpanSearch.simplify_store(&store, 5);
         assert!(simp.total_points() <= 6);
         assert_eq!(simp.kept(1), &[0, 1]);
         assert_eq!(SpanSearch.name(), "Span-Search");

@@ -3,19 +3,14 @@
 //! simplification and repeatedly *insert* the point with the largest error
 //! until the budget is reached.
 //!
-//! The core is generic over [`PointSeq`], so the same best-first loop
-//! serves the AoS [`Trajectory`] path and the **native columnar** path
-//! ([`Simplifier::simplify_store`]): the store variant walks zero-copy
-//! [`TrajView`]s directly — no `Vec<Point>` trajectories are
-//! materialized, no AoS round-trip.
+//! The best-first loop is generic over [`PointSeq`]: the "E" adaptation
+//! runs it on each zero-copy [`TrajView`] of the store, the "W"
+//! adaptation runs one global heap over all of them.
 
-use crate::adapt::{per_trajectory_budgets, per_trajectory_budgets_store, Adaptation};
+use crate::adapt::{per_trajectory_budgets_store, Adaptation};
 use crate::heap::LazyHeap;
 use crate::Simplifier;
-use trajectory::{
-    AsColumns, ErrorMeasure, PointSeq, PointStore, Simplification, TrajId, TrajView, Trajectory,
-    TrajectoryDb,
-};
+use trajectory::{AsColumns, ErrorMeasure, PointSeq, PointStore, Simplification, TrajId, TrajView};
 
 /// The Top-Down baseline, parameterized by error measure and adaptation.
 #[derive(Debug, Clone, Copy)]
@@ -41,23 +36,6 @@ impl Simplifier for TopDown {
         format!("Top-Down({},{})", self.adaptation, self.measure)
     }
 
-    fn simplify(&self, db: &TrajectoryDb, budget: usize) -> Simplification {
-        match self.adaptation {
-            Adaptation::Each => {
-                let budgets = per_trajectory_budgets(db, budget);
-                let kept = db
-                    .iter()
-                    .map(|(id, t)| topdown_one(t, budgets[id], self.measure))
-                    .collect();
-                Simplification::from_kept(db, kept)
-            }
-            Adaptation::Whole => topdown_whole(db, budget, self.measure),
-        }
-    }
-
-    /// Native columnar Top-Down: the best-first loops run directly over
-    /// zero-copy [`TrajView`]s — no AoS round-trip, identical kept sets
-    /// to [`Simplifier::simplify`] on the equivalent database.
     fn simplify_store(&self, store: &PointStore, budget: usize) -> Simplification {
         match self.adaptation {
             Adaptation::Each => {
@@ -65,7 +43,7 @@ impl Simplifier for TopDown {
                 let kept = store
                     .views()
                     .enumerate()
-                    .map(|(id, v)| topdown_one_seq(&v, budgets[id], self.measure))
+                    .map(|(id, v)| topdown_one(&v, budgets[id], self.measure))
                     .collect();
                 Simplification::from_kept_store(store, kept)
             }
@@ -95,14 +73,9 @@ fn worst_insertable<S: PointSeq + ?Sized>(
     best
 }
 
-/// Top-Down for a single trajectory under a point budget.
-pub fn topdown_one(traj: &Trajectory, budget: usize, measure: ErrorMeasure) -> Vec<u32> {
-    topdown_one_seq(traj, budget, measure)
-}
-
-/// Layout-agnostic core of [`topdown_one`]: the same best-first insertion
-/// over any [`PointSeq`] — an AoS trajectory or a zero-copy column view.
-pub fn topdown_one_seq<S: PointSeq + ?Sized>(
+/// Top-Down for a single trajectory (any [`PointSeq`]: a zero-copy
+/// column view or an AoS trajectory) under a point budget.
+pub fn topdown_one<S: PointSeq + ?Sized>(
     seq: &S,
     budget: usize,
     measure: ErrorMeasure,
@@ -138,42 +111,8 @@ pub fn topdown_one_seq<S: PointSeq + ?Sized>(
     kept
 }
 
-/// Top-Down over the whole database: one global heap, insert the globally
-/// worst point anywhere until the budget is exhausted.
-fn topdown_whole(db: &TrajectoryDb, budget: usize, measure: ErrorMeasure) -> Simplification {
-    let mut simp = Simplification::most_simplified(db);
-    let mut total = simp.total_points();
-    let budget = budget.max(total);
-    let mut heap: LazyHeap<(TrajId, usize, usize, usize)> = LazyHeap::new();
-    for (id, t) in db.iter() {
-        if t.len() > 2 {
-            if let Some((err, idx)) = worst_insertable(t, 0, t.len() - 1, measure) {
-                heap.push(err, 0, (id, 0, t.len() - 1, idx));
-            }
-        }
-    }
-    while total < budget {
-        let Some((_, (id, s, e, idx))) = heap.pop_current(|_, _| true) else {
-            break;
-        };
-        let inserted = simp.insert(id, idx as u32);
-        debug_assert!(inserted);
-        total += 1;
-        let t = db.get(id);
-        if let Some((err, i)) = worst_insertable(t, s, idx, measure) {
-            heap.push(err, 0, (id, s, idx, i));
-        }
-        if let Some((err, i)) = worst_insertable(t, idx, e, measure) {
-            heap.push(err, 0, (id, idx, e, i));
-        }
-    }
-    simp
-}
-
-/// [`topdown_whole`] walking columns natively: the per-trajectory point
-/// access is a [`TrajView`] sub-slice lookup instead of a pointer chase
-/// through `Vec<Trajectory>`. Heap order, tie-breaking, and therefore the
-/// kept sets are identical to the AoS path.
+/// Top-Down over the whole store ("W"): one global heap, insert the
+/// globally worst point anywhere until the budget is exhausted.
 fn topdown_whole_store(store: &PointStore, budget: usize, measure: ErrorMeasure) -> Simplification {
     let mut simp = Simplification::most_simplified_store(store);
     let mut total = simp.total_points();
@@ -207,7 +146,7 @@ fn topdown_whole_store(store: &PointStore, budget: usize, measure: ErrorMeasure)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajectory::Point;
+    use trajectory::{Point, Trajectory, TrajectoryDb};
 
     fn zigzag(n: usize, amp: f64) -> Trajectory {
         Trajectory::new(
@@ -284,7 +223,7 @@ mod tests {
         .unwrap();
         let db = TrajectoryDb::new(vec![wild, straight]);
         let td = TopDown::new(ErrorMeasure::Sed, Adaptation::Whole);
-        let simp = td.simplify(&db, 14);
+        let simp = td.simplify_store(&db.to_store(), 14);
         assert!(simp.total_points() <= 14);
         assert!(
             simp.kept(0).len() >= simp.kept(1).len() + 6,
@@ -298,7 +237,7 @@ mod tests {
     fn each_adaptation_splits_proportionally() {
         let db = TrajectoryDb::new(vec![zigzag(100, 5.0), zigzag(20, 5.0)]);
         let td = TopDown::new(ErrorMeasure::Ped, Adaptation::Each);
-        let simp = td.simplify(&db, 24);
+        let simp = td.simplify_store(&db.to_store(), 24);
         assert!(simp.total_points() <= 24);
         assert!(simp.kept(0).len() > simp.kept(1).len());
     }
@@ -316,19 +255,18 @@ mod tests {
     }
 
     #[test]
-    fn simplify_store_matches_aos_for_all_measures_and_adaptations() {
-        // The native columnar path must produce the exact kept sets of
-        // the AoS path: same best-first order, same tie-breaking.
-        let db = TrajectoryDb::new(vec![zigzag(40, 8.0), zigzag(25, 3.0), zigzag(7, 30.0)]);
-        let store = db.to_store();
-        for m in ErrorMeasure::ALL {
-            for a in [Adaptation::Each, Adaptation::Whole] {
-                for budget in [6, 20, 50, 200] {
-                    let td = TopDown::new(m, a);
+    fn each_matches_whole_on_single_trajectory_stores() {
+        // On a one-trajectory store the per-trajectory heap ("E") and the
+        // global heap ("W") see the same candidates: same best-first
+        // order, same tie-breaking, same kept sets.
+        for t in [zigzag(40, 8.0), zigzag(25, 3.0), zigzag(7, 30.0)] {
+            let store = TrajectoryDb::new(vec![t]).to_store();
+            for m in ErrorMeasure::ALL {
+                for budget in [0, 6, 20, 50, 200] {
                     assert_eq!(
-                        td.simplify_store(&store, budget),
-                        td.simplify(&db, budget),
-                        "{m} {a} budget {budget}"
+                        TopDown::new(m, Adaptation::Each).simplify_store(&store, budget),
+                        TopDown::new(m, Adaptation::Whole).simplify_store(&store, budget),
+                        "{m} budget {budget}"
                     );
                 }
             }
@@ -337,10 +275,10 @@ mod tests {
 
     #[test]
     fn all_measures_run() {
-        let db = TrajectoryDb::new(vec![zigzag(30, 5.0)]);
+        let store = TrajectoryDb::new(vec![zigzag(30, 5.0)]).to_store();
         for m in ErrorMeasure::ALL {
             for a in [Adaptation::Each, Adaptation::Whole] {
-                let simp = TopDown::new(m, a).simplify(&db, 10);
+                let simp = TopDown::new(m, a).simplify_store(&store, 10);
                 assert!(simp.total_points() <= 10, "{m} {a}");
                 assert!(simp.total_points() >= 2);
             }

@@ -4,11 +4,12 @@
 
 use proptest::prelude::*;
 use traj_simp::{
-    per_trajectory_budgets, Adaptation, BottomUp, Simplifier, SpanSearch, TopDown, Uniform,
+    min_points_store, per_trajectory_budgets_store, Adaptation, BottomUp, Simplifier, SpanSearch,
+    TopDown, Uniform,
 };
-use trajectory::{ErrorMeasure, Point, Trajectory, TrajectoryDb};
+use trajectory::{ErrorMeasure, Point, PointStore, Trajectory, TrajectoryDb};
 
-fn arb_db() -> impl Strategy<Value = TrajectoryDb> {
+fn arb_store() -> impl Strategy<Value = PointStore> {
     prop::collection::vec(
         prop::collection::vec((-500.0..500.0f64, -500.0..500.0f64, 0.1..10.0f64), 2..40),
         1..6,
@@ -29,17 +30,18 @@ fn arb_db() -> impl Strategy<Value = TrajectoryDb> {
                 )
                 .unwrap()
             })
-            .collect()
+            .collect::<TrajectoryDb>()
+            .to_store()
     })
 }
 
 fn check_simplification(
-    db: &TrajectoryDb,
+    store: &PointStore,
     s: &dyn Simplifier,
     budget: usize,
 ) -> Result<(), TestCaseError> {
-    let simp = s.simplify(db, budget);
-    let floor = traj_simp::min_points(db);
+    let simp = s.simplify_store(store, budget);
+    let floor = min_points_store(store);
     prop_assert!(
         simp.total_points() <= budget.max(floor),
         "{} overshot budget: {} > {}",
@@ -47,13 +49,13 @@ fn check_simplification(
         simp.total_points(),
         budget.max(floor)
     );
-    for (id, t) in db.iter() {
+    for (id, v) in store.views().enumerate() {
         let kept = simp.kept(id);
         prop_assert!(!kept.is_empty());
         prop_assert_eq!(kept[0], 0, "{}: first point lost", s.name());
         prop_assert_eq!(
             *kept.last().unwrap(),
-            (t.len() - 1) as u32,
+            (v.len() - 1) as u32,
             "{}: last point lost",
             s.name()
         );
@@ -63,7 +65,7 @@ fn check_simplification(
             s.name()
         );
         prop_assert!(
-            *kept.last().unwrap() < t.len() as u32,
+            *kept.last().unwrap() < v.len() as u32,
             "{}: out of range",
             s.name()
         );
@@ -75,72 +77,72 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn topdown_contract((db, frac) in (arb_db(), 0.05..1.0f64)) {
-        let budget = ((db.total_points() as f64 * frac) as usize).max(1);
+    fn topdown_contract((store, frac) in (arb_store(), 0.05..1.0f64)) {
+        let budget = ((store.total_points() as f64 * frac) as usize).max(1);
         for m in ErrorMeasure::ALL {
             for a in [Adaptation::Each, Adaptation::Whole] {
-                check_simplification(&db, &TopDown::new(m, a), budget)?;
+                check_simplification(&store, &TopDown::new(m, a), budget)?;
             }
         }
     }
 
     #[test]
-    fn bottomup_contract((db, frac) in (arb_db(), 0.05..1.0f64)) {
-        let budget = ((db.total_points() as f64 * frac) as usize).max(1);
+    fn bottomup_contract((store, frac) in (arb_store(), 0.05..1.0f64)) {
+        let budget = ((store.total_points() as f64 * frac) as usize).max(1);
         for m in ErrorMeasure::ALL {
             for a in [Adaptation::Each, Adaptation::Whole] {
-                check_simplification(&db, &BottomUp::new(m, a), budget)?;
+                check_simplification(&store, &BottomUp::new(m, a), budget)?;
             }
         }
     }
 
     #[test]
-    fn spansearch_and_uniform_contract((db, frac) in (arb_db(), 0.05..1.0f64)) {
-        let budget = ((db.total_points() as f64 * frac) as usize).max(1);
-        check_simplification(&db, &SpanSearch, budget)?;
-        check_simplification(&db, &Uniform, budget)?;
+    fn spansearch_and_uniform_contract((store, frac) in (arb_store(), 0.05..1.0f64)) {
+        let budget = ((store.total_points() as f64 * frac) as usize).max(1);
+        check_simplification(&store, &SpanSearch, budget)?;
+        check_simplification(&store, &Uniform, budget)?;
     }
 
     #[test]
-    fn bottomup_exactly_meets_feasible_budgets(db in arb_db()) {
+    fn bottomup_exactly_meets_feasible_budgets(store in arb_store()) {
         // Bottom-Up drops one point at a time, so it can hit any budget
         // between the floor and N exactly.
-        let floor = traj_simp::min_points(&db);
-        let n = db.total_points();
+        let floor = min_points_store(&store);
+        let n = store.total_points();
         let budget = (floor + n) / 2;
-        let simp = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole).simplify(&db, budget);
+        let simp = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole).simplify_store(&store, budget);
         prop_assert_eq!(simp.total_points(), budget);
     }
 
     #[test]
-    fn budgets_partition_within_caps((db, frac) in (arb_db(), 0.0..1.2f64)) {
-        let budget = (db.total_points() as f64 * frac) as usize;
-        let budgets = per_trajectory_budgets(&db, budget);
-        prop_assert_eq!(budgets.len(), db.len());
-        for (id, t) in db.iter() {
-            prop_assert!(budgets[id] <= t.len());
-            prop_assert!(budgets[id] >= t.len().min(2));
+    fn budgets_partition_within_caps((store, frac) in (arb_store(), 0.0..1.2f64)) {
+        let budget = (store.total_points() as f64 * frac) as usize;
+        let budgets = per_trajectory_budgets_store(&store, budget);
+        prop_assert_eq!(budgets.len(), store.len());
+        for (id, v) in store.views().enumerate() {
+            prop_assert!(budgets[id] <= v.len());
+            prop_assert!(budgets[id] >= v.len().min(2));
         }
-        let floor: usize = db.trajectories().iter().map(|t| t.len().min(2)).sum();
+        let floor = min_points_store(&store);
         prop_assert!(budgets.iter().sum::<usize>() <= budget.max(floor));
     }
 
     #[test]
-    fn bottomup_kept_sets_are_nested_across_budgets((db, _x) in (arb_db(), 0..1)) {
+    fn bottomup_kept_sets_are_nested_across_budgets((store, _x) in (arb_store(), 0..1)) {
         // Bottom-Up's drop order is a fixed deterministic sequence; a
         // larger budget just truncates it earlier, so its kept set is a
         // superset of any smaller budget's. (Note the max *error* is NOT
         // monotone in the budget — refinement non-monotonicity — so that
         // is deliberately not asserted.)
-        let floor = traj_simp::min_points(&db);
-        let n = db.total_points();
+        let floor = min_points_store(&store);
+        let n = store.total_points();
         prop_assume!(n > floor + 4);
         let small = floor + (n - floor) / 4;
         let large = floor + (n - floor) / 2;
         let bu = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole);
-        let s_small = bu.simplify(&db, small);
-        let s_large = bu.simplify(&db, large);
-        for (id, _) in db.iter() {
+        let s_small = bu.simplify_store(&store, small);
+        let s_large = bu.simplify_store(&store, large);
+        for id in 0..store.len() {
             for idx in s_small.kept(id) {
                 prop_assert!(
                     s_large.contains(id, *idx),

@@ -57,14 +57,15 @@ fn main() {
         );
     };
 
-    report("Uniform", &Uniform.simplify(&archive, budget));
+    let store = archive.to_store();
+    report("Uniform", &Uniform.simplify_store(&store, budget));
     report(
         "Top-Down(E,SED)",
-        &TopDown::new(ErrorMeasure::Sed, Adaptation::Each).simplify(&archive, budget),
+        &TopDown::new(ErrorMeasure::Sed, Adaptation::Each).simplify_store(&store, budget),
     );
     report(
         "Bottom-Up(W,PED)",
-        &BottomUp::new(ErrorMeasure::Ped, Adaptation::Whole).simplify(&archive, budget),
+        &BottomUp::new(ErrorMeasure::Ped, Adaptation::Whole).simplify_store(&store, budget),
     );
     report(
         "RL4QDTS",

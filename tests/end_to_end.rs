@@ -67,9 +67,10 @@ fn all_simplifier_families_integrate_with_query_engine() {
         Box::new(BottomUp::new(ErrorMeasure::Dad, Adaptation::Each)),
         Box::new(BottomUp::new(ErrorMeasure::Sad, Adaptation::Whole)),
     ];
+    let store = db.to_store();
     for m in &methods {
-        let small = m.simplify(&db, db.total_points() / 20);
-        let large = m.simplify(&db, db.total_points() / 2);
+        let small = m.simplify_store(&store, db.total_points() / 20);
+        let large = m.simplify_store(&store, db.total_points() / 2);
         let d_small = tracker.diff_of(&engine, &small);
         let d_large = tracker.diff_of(&engine, &large);
         assert!(
@@ -143,7 +144,7 @@ fn checkpointed_model_is_equivalent() {
 #[test]
 fn simplified_database_survives_csv_round_trip() {
     let db = generate(&DatasetSpec::geolife(Scale::Smoke), 1005);
-    let simp = Uniform.simplify(&db, db.total_points() / 5);
+    let simp = Uniform.simplify_store(&db.to_store(), db.total_points() / 5);
     let materialized = simp.materialize(&db);
 
     let mut buf = Vec::new();

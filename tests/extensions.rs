@@ -81,7 +81,7 @@ fn joins_behave_under_simplification() {
     // Simplify mildly: the straight-line companions survive simplification
     // (their paths are linear, so endpoints reproduce them exactly).
     let simp = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each)
-        .simplify(&db, db.total_points() / 4)
+        .simplify_store(&db.to_store(), db.total_points() / 4)
         .materialize(&db);
     let pairs_simp = similarity_join(&simp, &params);
     assert!(

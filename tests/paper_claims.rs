@@ -36,8 +36,9 @@ fn whole_adaptation_beats_each_on_heterogeneous_complexity() {
     let db = TrajectoryDb::new(vec![straight, wiggly]);
     let budget = 40;
 
-    let each = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each).simplify(&db, budget);
-    let whole = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole).simplify(&db, budget);
+    let store = db.to_store();
+    let each = BottomUp::new(ErrorMeasure::Sed, Adaptation::Each).simplify_store(&store, budget);
+    let whole = BottomUp::new(ErrorMeasure::Sed, Adaptation::Whole).simplify_store(&store, budget);
     let err_each = ErrorMeasure::Sed.db_error(&db, &each);
     let err_whole = ErrorMeasure::Sed.db_error(&db, &whole);
     assert!(
@@ -102,9 +103,10 @@ fn ablation_variants_make_different_decisions() {
     let queries = range_workload(&pool, &spec, &mut rng);
     let budget = pool.total_points() / 10;
 
-    let full = model.simplify_variant(&pool, budget, &queries, 9, PolicyVariant::FULL);
-    let neither = model.simplify_variant(&pool, budget, &queries, 9, PolicyVariant::NEITHER);
-    let no_cube = model.simplify_variant(&pool, budget, &queries, 9, PolicyVariant::NO_CUBE);
+    let store = pool.to_store();
+    let full = model.simplify_variant(&store, budget, &queries, 9, PolicyVariant::FULL);
+    let neither = model.simplify_variant(&store, budget, &queries, 9, PolicyVariant::NEITHER);
+    let no_cube = model.simplify_variant(&store, budget, &queries, 9, PolicyVariant::NO_CUBE);
     // All meet the same budget…
     assert_eq!(full.total_points(), neither.total_points());
     assert_eq!(full.total_points(), no_cube.total_points());
@@ -122,7 +124,8 @@ fn ablation_variants_make_different_decisions() {
 fn deformation_of_queried_trajectories_is_bounded() {
     let db = generate(&DatasetSpec::geolife(Scale::Smoke), 2003);
     let budget = db.total_points() / 10;
-    let td = TopDown::new(ErrorMeasure::Ped, Adaptation::Each).simplify(&db, budget);
+    let td =
+        TopDown::new(ErrorMeasure::Ped, Adaptation::Each).simplify_store(&db.to_store(), budget);
     // Every trajectory keeps endpoints, so SED deformation is finite.
     for (id, t) in db.iter() {
         let err = ErrorMeasure::Sed.trajectory_error(t, td.kept(id));
