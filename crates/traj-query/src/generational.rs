@@ -10,7 +10,7 @@
 //!   served by an ordinary [`QueryEngine`] (owned or mmap-backed per
 //!   [`DbOptions`]);
 //! - the **active delta** is a WAL-guarded
-//!   [`DeltaStore`](trajectory::DeltaStore): appends are simplified
+//!   [`DeltaStore`]: appends are simplified
 //!   online at admission, logged, and acknowledged only after an
 //!   `fsync` — a crash replays exactly the acked trajectories;
 //! - **sealed** deltas are frozen in-memory segments awaiting

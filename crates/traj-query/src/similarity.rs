@@ -9,6 +9,10 @@
 
 use trajectory::{AsColumns, PointSeq, TrajId, Trajectory, TrajectoryDb};
 
+/// Most regular-grid check times one similarity check evaluates, so a
+/// hostile `step` cannot make one query allocate without bound.
+const MAX_GRID: usize = 1 << 16;
+
 /// A similarity query instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimilarityQuery {
@@ -22,7 +26,8 @@ pub struct SimilarityQuery {
     pub delta: f64,
     /// Synchronization time step for checking the "for all i" condition
     /// (seconds). The check also evaluates both trajectories' own sample
-    /// times inside the window, so no sampled deviation is missed.
+    /// times inside the window, so no sampled deviation is missed. A step
+    /// finer than 1/65536 of the window is coarsened to that.
     pub step: f64,
 }
 
@@ -73,14 +78,17 @@ impl SimilarityQuery {
         }
 
         // Check at a regular grid plus both trajectories' sample times.
+        // The grid is capped at MAX_GRID points: the step is floored so
+        // the window needs no more, and the count bound ends the loop
+        // even where `t_cursor += step` no longer advances.
         let step = if self.step > 0.0 {
-            self.step
+            self.step.max((te - ts) / MAX_GRID as f64)
         } else {
             (te - ts).max(1.0) / 16.0
         };
         let mut check_times: Vec<f64> = Vec::new();
         let mut t_cursor = ts;
-        while t_cursor < te {
+        while t_cursor < te && check_times.len() < MAX_GRID {
             check_times.push(t_cursor);
             t_cursor += step;
         }
@@ -188,6 +196,50 @@ mod tests {
     fn query_matches_itself() {
         let db = TrajectoryDb::new(vec![line(0.0, 0.0, 10)]);
         assert_eq!(query(0.1).execute(&db), vec![0]);
+    }
+
+    #[test]
+    fn nanosecond_step_over_an_hour_is_capped() {
+        let hour = |y: f64| {
+            Trajectory::new(
+                (0..=60)
+                    .map(|i| Point::new(i as f64 * 100.0, y, i as f64 * 60.0))
+                    .collect(),
+            )
+            .unwrap()
+        };
+        let db = TrajectoryDb::new(vec![hour(3.0), hour(100.0)]);
+        let mut q = SimilarityQuery {
+            query: hour(0.0),
+            ts: 0.0,
+            te: 3_600.0,
+            delta: 5.0,
+            step: 1e-9,
+        };
+        let capped = q.execute(&db);
+        assert_eq!(capped, vec![0]);
+        q.step = 3_600.0 / MAX_GRID as f64;
+        assert_eq!(q.execute(&db), capped);
+    }
+
+    #[test]
+    fn grid_ends_where_the_cursor_cannot_advance() {
+        // At t = 1e15 one ulp is 0.125 s, so the floored step (1 s over
+        // 65536 points) no longer moves the cursor; the count cap ends
+        // the loop.
+        let t0 = 1e15;
+        let near = |y: f64| {
+            Trajectory::new(vec![Point::new(0.0, y, t0), Point::new(10.0, y, t0 + 1.0)]).unwrap()
+        };
+        let db = TrajectoryDb::new(vec![near(3.0)]);
+        let q = SimilarityQuery {
+            query: near(0.0),
+            ts: t0,
+            te: t0 + 1.0,
+            delta: 5.0,
+            step: 1e-9,
+        };
+        assert_eq!(q.execute(&db), vec![0]);
     }
 
     #[test]

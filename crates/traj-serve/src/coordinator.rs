@@ -9,7 +9,7 @@
 //! snapshot, and a `bounds=` token with the shard's bounding cube.
 //! [`Placement::from_manifest`] reads both, [`Coordinator::connect`]
 //! dials every shard *in parallel* (with a bounded connect timeout)
-//! and cross-checks each one's [`ShardInfo`](crate::wire::ShardInfo)
+//! and cross-checks each one's [`ShardInfo`]
 //! handshake against the placement map — trajectory count *and*
 //! bounding cube must agree — and [`Coordinator::execute_batch`] runs
 //! the fan-out:
@@ -49,22 +49,19 @@
 //! silently wrong one). Pooled connections are reused across rounds
 //! and re-dialed transparently after a failure.
 //!
-//! [`SharedCoordinator`] adds the same admission/linger layer the
-//! in-process [`Server`](crate::Server) uses in front of the fan-out:
-//! many connections (or threads) submit batches concurrently, a small
-//! pool of executor threads coalesces everything that arrived together
-//! into one wire round per shard, and each submitter gets its slice of
-//! the merged answer back. [`Coordinator::stats`] reports how well
-//! that works: coalesced rounds, queries per round, and frames
-//! sent vs pruned per shard.
+//! [`SharedCoordinator`] puts the crate's one admission queue — the
+//! same one batched [`Server`](crate::Server) mode uses — in front of
+//! the fan-out: many connections (or threads) submit batches
+//! concurrently, a small pool of executor threads coalesces everything
+//! that arrived together into one wire round per shard, and each
+//! submitter gets its slice of the merged answer back.
+//! [`Coordinator::stats`] reports how well that works: coalesced
+//! rounds, queries per round, and frames sent vs pruned per shard.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use traj_query::{
     knn_take_fill, merge_global_ids, merge_knn_candidates, query_touches_bounds, Query, QueryBatch,
@@ -73,6 +70,7 @@ use traj_query::{
 use trajectory::shard::ShardSet;
 use trajectory::{Cube, TrajId};
 
+use crate::admission::{split, Admission};
 use crate::client::{Client, ClientConfig};
 use crate::server::BatchConfig;
 use crate::wire::{ShardInfo, ShardResult, WireError};
@@ -262,8 +260,8 @@ pub enum CoordinatorError {
         /// What it did wrong.
         reason: &'static str,
     },
-    /// The [`SharedCoordinator`] was shut down while this batch was
-    /// queued or in flight.
+    /// The [`SharedCoordinator`]'s admission queue was closed, or the
+    /// executor running this batch died before answering it.
     Closed,
 }
 
@@ -859,28 +857,9 @@ fn shard_round(
     }
 }
 
-/// One queued submission waiting for a coalesced fan-out round.
-struct SharedJob {
-    queries: Vec<Query>,
-    reply: SyncSender<Result<DistributedResponse, CoordinatorError>>,
-}
-
-#[derive(Default)]
-struct SharedQueue {
-    jobs: VecDeque<SharedJob>,
-    queued_queries: usize,
-}
-
-struct SharedState {
-    coordinator: Coordinator,
-    queue: Mutex<SharedQueue>,
-    available: Condvar,
-    shutting_down: AtomicBool,
-}
-
-/// The coalescing front of a [`Coordinator`]: the same admission/linger
-/// layer the single-process [`Server`](crate::Server) batches with, put
-/// in front of the distributed fan-out. N concurrent callers submit
+/// The coalescing front of a [`Coordinator`]: the crate's one admission
+/// queue — the same one [`Server`](crate::Server) batches with — put in
+/// front of the distributed fan-out. N concurrent callers submit
 /// batches; a small pool of executor threads coalesces everything that
 /// arrived together into *one* wire round per shard (amortizing
 /// framing, syscalls, and shard-side engine passes) and routes each
@@ -891,9 +870,8 @@ struct SharedState {
 /// Shareable by reference across threads ([`SharedCoordinator::execute_batch`]
 /// takes `&self`); dropping it shuts the executors down.
 pub struct SharedCoordinator {
-    shared: Arc<SharedState>,
-    executors: Vec<JoinHandle<()>>,
-    done: bool,
+    coordinator: Arc<Coordinator>,
+    admission: Admission<Result<DistributedResponse, CoordinatorError>>,
 }
 
 impl SharedCoordinator {
@@ -907,22 +885,26 @@ impl SharedCoordinator {
         cfg: BatchConfig,
         executors: usize,
     ) -> SharedCoordinator {
-        let shared = Arc::new(SharedState {
-            coordinator,
-            queue: Mutex::new(SharedQueue::default()),
-            available: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
+        let coordinator = Arc::new(coordinator);
+        let round = Arc::clone(&coordinator);
+        let admission = Admission::start(cfg, executors, move |batch, lens| {
+            match round.execute_batch(batch) {
+                Ok(resp) => split(resp.results, lens)
+                    .into_iter()
+                    .map(|results| {
+                        Ok(DistributedResponse {
+                            results,
+                            status: resp.status.clone(),
+                            failures: resp.failures.clone(),
+                        })
+                    })
+                    .collect(),
+                Err(e) => lens.iter().map(|_| Err(e.clone())).collect(),
+            }
         });
-        let executors = (0..executors.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || shared_executor_loop(&shared, cfg))
-            })
-            .collect();
         SharedCoordinator {
-            shared,
-            executors,
-            done: false,
+            coordinator,
+            admission,
         }
     }
 
@@ -933,132 +915,26 @@ impl SharedCoordinator {
         &self,
         batch: &QueryBatch,
     ) -> Result<DistributedResponse, CoordinatorError> {
-        let (tx, rx) = sync_channel(1);
-        {
-            let mut q = self.shared.queue.lock().expect("queue lock");
-            q.queued_queries += batch.len();
-            q.jobs.push_back(SharedJob {
-                queries: batch.queries().to_vec(),
-                reply: tx,
-            });
-        }
-        self.shared.available.notify_one();
-        rx.recv().map_err(|_| CoordinatorError::Closed)?
+        self.admission
+            .submit(batch.queries().to_vec())
+            .unwrap_or(Err(CoordinatorError::Closed))
     }
 
     /// The wrapped coordinator (for stats and placement introspection).
     #[must_use]
     pub fn coordinator(&self) -> &Coordinator {
-        &self.shared.coordinator
+        &self.coordinator
     }
 
     /// Current counters of the wrapped coordinator.
     #[must_use]
     pub fn stats(&self) -> CoordinatorStats {
-        self.shared.coordinator.stats()
+        self.coordinator.stats()
     }
 
-    /// Stops the executors and joins them. Queued or in-flight batches
-    /// fail with [`CoordinatorError::Closed`]. Idempotent; also runs on
-    /// drop.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        self.shared.available.notify_all();
-        for h in self.executors.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for SharedCoordinator {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// The admission drain — the distributed twin of the server's executor
-/// loop: wait for the first submission, linger briefly so concurrent
-/// arrivals coalesce, run everything taken as one fan-out round, and
-/// route the slices back.
-fn shared_executor_loop(state: &Arc<SharedState>, cfg: BatchConfig) {
-    let max_queries = cfg.max_queries.max(1);
-    loop {
-        let jobs = {
-            let mut q = state.queue.lock().expect("queue lock");
-            while q.jobs.is_empty() {
-                if state.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = state.available.wait(q).expect("queue lock");
-            }
-            if !cfg.linger.is_zero() {
-                let deadline = Instant::now() + cfg.linger;
-                while q.queued_queries < max_queries {
-                    let now = Instant::now();
-                    if now >= deadline || state.shutting_down.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let (guard, _timeout) = state
-                        .available
-                        .wait_timeout(q, deadline - now)
-                        .expect("queue lock");
-                    q = guard;
-                }
-            }
-            // Take whole jobs up to the batch bound (always at least
-            // one, so an oversized submission still rides — alone).
-            let mut jobs: Vec<SharedJob> = Vec::new();
-            let mut taken = 0usize;
-            while let Some(job) = q.jobs.front() {
-                if !jobs.is_empty() && taken + job.queries.len() > max_queries {
-                    break;
-                }
-                taken += job.queries.len();
-                let job = q.jobs.pop_front().expect("front checked");
-                jobs.push(job);
-            }
-            q.queued_queries -= taken;
-            jobs
-        };
-        if jobs.is_empty() {
-            continue;
-        }
-
-        // One coalesced fan-out round over everything admitted.
-        let lens: Vec<usize> = jobs.iter().map(|j| j.queries.len()).collect();
-        let mut combined: Vec<Query> = Vec::with_capacity(lens.iter().sum());
-        let mut replies = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            combined.extend(job.queries);
-            replies.push(job.reply);
-        }
-        let batch = QueryBatch::from_queries(combined);
-        match state.coordinator.execute_batch(&batch) {
-            Ok(resp) => {
-                let mut results = resp.results.into_iter();
-                for (len, reply) in lens.into_iter().zip(replies) {
-                    let slice: Vec<QueryResult> = results.by_ref().take(len).collect();
-                    // A receiver that gave up is fine.
-                    let _ = reply.send(Ok(DistributedResponse {
-                        results: slice,
-                        status: resp.status.clone(),
-                        failures: resp.failures.clone(),
-                    }));
-                }
-            }
-            Err(e) => {
-                for reply in replies {
-                    let _ = reply.send(Err(e.clone()));
-                }
-            }
-        }
+    /// Stops admitting, answers every batch already queued or in
+    /// flight, and joins the executors. Also runs on drop.
+    pub fn shutdown(self) {
+        self.admission.shutdown();
     }
 }

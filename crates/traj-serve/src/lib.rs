@@ -10,10 +10,10 @@
 //!   snapshot codec's discipline, and reusing its encode primitives);
 //! - [`server`] — a multi-threaded TCP server sharing one immutable
 //!   [`TrajDb`](traj_query::TrajDb) across all connections, whose
-//!   **admission/batching layer** coalesces queries arriving
-//!   concurrently on many connections into single heterogeneous
-//!   work-stealing engine passes (vs. the naive one-engine-pass-per-
-//!   request mode it is benchmarked against);
+//!   batched mode hands requests to the **admission layer**, which
+//!   coalesces queries arriving concurrently on many connections into
+//!   single heterogeneous work-stealing engine passes (vs. the naive
+//!   one-engine-pass-per-request mode it is benchmarked against);
 //! - [`client`] — a blocking client speaking the same frames (with
 //!   optional connect/read/write deadlines), plus the
 //!   `traj_bench_client` load generator that measures throughput and
@@ -27,9 +27,8 @@
 //!   connections, and merges per-shard answers byte-identically to the
 //!   in-process sharded engine — with timeouts, bounded retries, and a
 //!   per-request [`FailurePolicy`] for typed degraded answers. A
-//!   [`SharedCoordinator`] puts the server's admission/linger layer in
-//!   front so concurrent submissions coalesce into one wire round per
-//!   shard;
+//!   [`SharedCoordinator`] puts the same admission layer in front so
+//!   concurrent submissions coalesce into one wire round per shard;
 //! - [`fault`] — a byte-level fault-injecting TCP proxy ([`FaultProxy`])
 //!   used by the test suites to prove every injected failure surfaces
 //!   as a typed error or a correct degraded answer, never a wrong one.
@@ -51,6 +50,7 @@
 
 #![warn(missing_docs)]
 
+mod admission;
 pub mod client;
 pub mod coordinator;
 pub mod fault;

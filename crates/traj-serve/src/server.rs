@@ -9,30 +9,29 @@
 //!   request runs its own engine pass on a freshly spawned thread
 //!   (thread-per-request). Request count × (spawn + schedule + join)
 //!   overhead, and no work sharing between concurrent requests.
-//! - [`ExecutionMode::Batched`] is the admission/batching layer:
-//!   handler threads enqueue their queries into a shared admission
-//!   queue and a small pool of persistent executor threads coalesces
-//!   everything that arrived concurrently — across *all* connections —
-//!   into one heterogeneous [`QueryBatch`] executed in a single
-//!   work-stealing `execute_batch` pass. A bounded batch size and a
-//!   microsecond-scale linger window trade a little queueing delay for
-//!   much better per-query overhead; results are routed back to each
-//!   waiting connection in submission order.
+//! - [`ExecutionMode::Batched`] hands each request to the crate's one
+//!   admission queue (the same one behind
+//!   [`SharedCoordinator`](crate::SharedCoordinator)): a small pool of
+//!   persistent executor threads coalesces everything that arrived
+//!   concurrently — across *all* connections — into one heterogeneous
+//!   [`QueryBatch`] executed in a single work-stealing `execute_batch`
+//!   pass. A bounded batch size and a microsecond-scale linger window
+//!   trade a little queueing delay for much better per-query overhead;
+//!   results are routed back to each waiting connection in submission
+//!   order.
 //!
 //! The database is opened once and shared immutably (`TrajDb` is
 //! `Send + Sync`; the static assertion below keeps that honest), so
 //! every layout the façade auto-detects — CSV, snapshot, quantized
 //! snapshot, shard directory — serves over the wire unchanged.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use traj_query::{
     DbOptions, GenerationalDb, IngestReport, Query, QueryBatch, QueryExecutor, QueryResult, TrajDb,
@@ -40,6 +39,7 @@ use traj_query::{
 };
 use trajectory::Trajectory;
 
+use crate::admission::{split, Admission};
 use crate::wire::{
     read_message, write_message, IngestAck, Message, ShardInfo, ShardResult, WireError,
 };
@@ -224,29 +224,13 @@ impl ServerStats {
     }
 }
 
-/// One admitted request waiting for an engine pass: its queries and
-/// the channel that routes results back to the connection handler.
-struct Job {
-    queries: Vec<Query>,
-    reply: SyncSender<Vec<QueryResult>>,
-}
-
-#[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    queued_queries: usize,
-}
-
 struct Shared {
-    db: ServeDb,
-    mode: ExecutionMode,
-    queue: Mutex<QueueState>,
-    available: Condvar,
+    db: Arc<ServeDb>,
+    /// `Some` in batched mode.
+    admission: Option<Admission<Vec<QueryResult>>>,
     shutting_down: AtomicBool,
     requests: AtomicU64,
     queries: AtomicU64,
-    batches: AtomicU64,
-    batched_queries: AtomicU64,
     ingests: AtomicU64,
     ingested_trajs: AtomicU64,
     conns: Mutex<Vec<TcpStream>>,
@@ -258,7 +242,6 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
     done: bool,
 }
 
@@ -287,29 +270,27 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
+        let db = Arc::new(db.into());
+        let admission = match opts.mode {
+            ExecutionMode::PerRequest => None,
+            ExecutionMode::Batched(cfg) => {
+                let db = Arc::clone(&db);
+                Some(Admission::start(cfg, opts.executors, move |batch, lens| {
+                    split(db.executor().execute_batch(batch), lens)
+                }))
+            }
+        };
         let shared = Arc::new(Shared {
-            db: db.into(),
-            mode: opts.mode,
-            queue: Mutex::new(QueueState::default()),
-            available: Condvar::new(),
+            db,
+            admission,
             shutting_down: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             queries: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_queries: AtomicU64::new(0),
             ingests: AtomicU64::new(0),
             ingested_trajs: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
             handlers: Mutex::new(Vec::new()),
         });
-
-        let mut executors = Vec::new();
-        if let ExecutionMode::Batched(cfg) = opts.mode {
-            for _ in 0..opts.executors.max(1) {
-                let shared = Arc::clone(&shared);
-                executors.push(std::thread::spawn(move || executor_loop(&shared, cfg)));
-            }
-        }
 
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
@@ -318,7 +299,6 @@ impl Server {
             shared,
             addr: local,
             accept: Some(accept),
-            executors,
             done: false,
         })
     }
@@ -332,11 +312,12 @@ impl Server {
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> ServerStats {
+        let admission = self.shared.admission.as_ref();
         ServerStats {
             requests: self.shared.requests.load(Ordering::Relaxed),
             queries: self.shared.queries.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            batched_queries: self.shared.batched_queries.load(Ordering::Relaxed),
+            batches: admission.map_or(0, Admission::passes),
+            batched_queries: admission.map_or(0, Admission::queries),
             ingests: self.shared.ingests.load(Ordering::Relaxed),
             ingested_trajs: self.shared.ingested_trajs.load(Ordering::Relaxed),
         }
@@ -354,8 +335,11 @@ impl Server {
         }
         self.done = true;
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Wake executors blocked on the admission queue.
-        self.shared.available.notify_all();
+        // Answer every admitted request and refuse later ones, so no
+        // handler is left waiting on an executor.
+        if let Some(admission) = &self.shared.admission {
+            admission.shutdown();
+        }
         // Unblock handler threads blocked in read_message.
         for conn in self.shared.conns.lock().expect("conns lock").iter() {
             let _ = conn.shutdown(Shutdown::Both);
@@ -367,9 +351,6 @@ impl Server {
         }
         let handlers = std::mem::take(&mut *self.shared.handlers.lock().expect("handlers lock"));
         for h in handlers {
-            let _ = h.join();
-        }
-        for h in self.executors.drain(..) {
             let _ = h.join();
         }
     }
@@ -419,14 +400,15 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
             return;
         }
         let reply = match read_message(stream) {
-            Ok(Some(Message::Request(batch))) => {
-                let results = execute(shared, batch);
-                Message::Response(results)
-            }
+            Ok(Some(Message::Request(batch))) => match execute(shared, batch) {
+                Some(results) => Message::Response(results),
+                // The admission queue closed: the server is shutting down.
+                None => return,
+            },
             // Distributed-serving frames bypass the admission queue:
             // the coordinator already batches per shard, and shard
             // results (scored kNN candidates, raw local hits) are not
-            // expressible as the `Job` results the executors route.
+            // the per-query results the admission passes route.
             Ok(Some(Message::Hello)) => {
                 // Bounds come from the decoded store, so for quantized
                 // snapshots they match the manifest's `bounds=` lines
@@ -550,106 +532,63 @@ fn serve_shard_batch(db: &ServeDb, batch: &QueryBatch) -> Vec<ShardResult> {
     }
 }
 
-fn execute(shared: &Arc<Shared>, batch: QueryBatch) -> Vec<QueryResult> {
+fn execute(shared: &Arc<Shared>, batch: QueryBatch) -> Option<Vec<QueryResult>> {
     shared
         .queries
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    match shared.mode {
-        ExecutionMode::PerRequest => {
+    match &shared.admission {
+        Some(admission) => admission.submit(batch.into_queries()),
+        None => {
             // The naive baseline: a dedicated engine pass on its own
             // freshly spawned thread, per request.
-            let db = Arc::clone(shared);
-            std::thread::spawn(move || db.db.executor().execute_batch(&batch))
-                .join()
-                .expect("per-request engine pass panicked")
-        }
-        ExecutionMode::Batched(_) => {
-            let (tx, rx) = sync_channel(1);
-            let n = batch.len();
-            {
-                let mut q = shared.queue.lock().expect("queue lock");
-                q.queued_queries += n;
-                q.jobs.push_back(Job {
-                    queries: batch.into_queries(),
-                    reply: tx,
-                });
-            }
-            shared.available.notify_one();
-            rx.recv().expect("executor dropped reply channel")
+            let db = Arc::clone(&shared.db);
+            Some(
+                std::thread::spawn(move || db.executor().execute_batch(&batch))
+                    .join()
+                    .expect("per-request engine pass panicked"),
+            )
         }
     }
 }
 
-/// The admission drain: waits for work, lingers briefly to let
-/// concurrent arrivals coalesce, then runs everything it took in one
-/// heterogeneous engine pass and routes the slices back.
-fn executor_loop(shared: &Arc<Shared>, cfg: BatchConfig) {
-    let max_queries = cfg.max_queries.max(1);
-    loop {
-        let jobs = {
-            let mut q = shared.queue.lock().expect("queue lock");
-            // Wait for the first job (or shutdown).
-            while q.jobs.is_empty() {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = shared.available.wait(q).expect("queue lock");
-            }
-            // Linger: give concurrently arriving requests a short,
-            // bounded window to join this pass.
-            if !cfg.linger.is_zero() {
-                let deadline = Instant::now() + cfg.linger;
-                while q.queued_queries < max_queries {
-                    let now = Instant::now();
-                    if now >= deadline || shared.shutting_down.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let (guard, _timeout) = shared
-                        .available
-                        .wait_timeout(q, deadline - now)
-                        .expect("queue lock");
-                    q = guard;
-                }
-            }
-            // Take whole jobs up to the batch bound (always at least
-            // one, so an oversized request still executes — alone).
-            let mut jobs: Vec<Job> = Vec::new();
-            let mut taken = 0usize;
-            while let Some(job) = q.jobs.front() {
-                if !jobs.is_empty() && taken + job.queries.len() > max_queries {
-                    break;
-                }
-                taken += job.queries.len();
-                let job = q.jobs.pop_front().expect("front checked");
-                jobs.push(job);
-            }
-            q.queued_queries -= taken;
-            jobs
-        };
-        if jobs.is_empty() {
-            continue;
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use traj_query::SimilarityQuery;
+    use trajectory::{Point, TrajectoryDb};
 
-        // One heterogeneous pass over everything admitted.
-        let lens: Vec<usize> = jobs.iter().map(|j| j.queries.len()).collect();
-        let mut combined: Vec<Query> = Vec::with_capacity(lens.iter().sum());
-        let mut replies = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            combined.extend(job.queries);
-            replies.push(job.reply);
-        }
-        let batch = QueryBatch::from_queries(combined);
-        let mut results = shared.db.executor().execute_batch(&batch).into_iter();
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .batched_queries
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+    fn hour(y: f64) -> Trajectory {
+        Trajectory::new(
+            (0..=60)
+                .map(|i| Point::new(i as f64 * 100.0, y, i as f64 * 60.0))
+                .collect(),
+        )
+        .unwrap()
+    }
 
-        // Route each job's slice of the results back, in order.
-        for (len, reply) in lens.into_iter().zip(replies) {
-            let slice: Vec<QueryResult> = results.by_ref().take(len).collect();
-            // A receiver that gave up (connection died) is fine.
-            let _ = reply.send(slice);
-        }
+    #[test]
+    fn nanosecond_similarity_step_is_answered_over_the_wire() {
+        let db = TrajDb::from_db(
+            &TrajectoryDb::new(vec![hour(3.0), hour(100.0)]),
+            DbOptions::new(),
+        );
+        let server = Server::start(db, "127.0.0.1:0", ServeOptions::batched()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let similarity = Query::Similarity(SimilarityQuery {
+            query: hour(0.0),
+            ts: 0.0,
+            te: 3_600.0,
+            delta: 5.0,
+            step: 1e-9,
+        });
+        assert_eq!(
+            client.execute(&similarity).unwrap(),
+            QueryResult::Similarity(vec![0])
+        );
+        // The server is still healthy afterwards.
+        let range = Query::Range(trajectory::Cube::new(0.0, 50.0, 0.0, 50.0, 0.0, 60.0));
+        assert_eq!(client.execute(&range).unwrap(), QueryResult::Range(vec![0]));
+        server.shutdown();
     }
 }
