@@ -48,6 +48,7 @@ use trajectory::{AsColumns, Cube, KeptBitmap, PointStore, Simplification, TrajId
 
 use crate::engine::{BackendKind, EngineConfig, MaintainedWorkload, QueryEngine, QueryScratch};
 use crate::knn::KnnQuery;
+use crate::merge::ShardResult;
 use crate::parallel::{par_map, par_map_with};
 use crate::sharded::ShardedQueryEngine;
 use crate::similarity::SimilarityQuery;
@@ -364,6 +365,14 @@ pub trait QueryExecutor: Sync {
     /// results to [`QueryExecutor::execute`].
     fn execute_one(&self, q: &Query) -> QueryResult;
 
+    /// This executor's part of `q` when it serves as one part of a
+    /// bigger database (one shard of a cluster): the merge material the
+    /// shared [`merge_parts`](crate::merge_parts) consumes, in this
+    /// executor's own ids — range/similarity hits, kept-bitmap hits, or
+    /// the best `k` kNN candidates, with no kNN infinite-fill. Runs with
+    /// the executor's full internal parallelism.
+    fn execute_part(&self, q: &Query) -> ShardResult;
+
     /// Executes one typed query with the executor's full internal
     /// parallelism (candidate scoring, shard fan-out).
     fn execute(&self, q: &Query) -> QueryResult {
@@ -451,6 +460,10 @@ impl QueryExecutor for QueryEngine<'_> {
         }
     }
 
+    fn execute_part(&self, q: &Query) -> ShardResult {
+        self.part(q.into(), true)
+    }
+
     /// One data-parallel pass with **per-worker scratch reuse**: the
     /// hit-flag buffer range-style queries need is allocated once per
     /// worker thread and recycled across every query that worker pulls,
@@ -523,12 +536,11 @@ impl QueryExecutor for ShardedQueryEngine<'_> {
     }
 
     fn execute_one(&self, q: &Query) -> QueryResult {
-        match q {
-            Query::Range(c) => QueryResult::Range(self.range_seq(c)),
-            Query::Knn(k) => QueryResult::Knn(self.knn_seq(k)),
-            Query::Similarity(s) => QueryResult::Similarity(self.similarity_seq(s)),
-            Query::RangeKept(c) => QueryResult::RangeKept(self.range_kept_seq(c)),
-        }
+        self.execute_ref(q.into(), false)
+    }
+
+    fn execute_part(&self, q: &Query) -> ShardResult {
+        self.part(q.into(), true)
     }
 }
 
@@ -868,10 +880,9 @@ impl TrajDb {
     /// This database's contribution to a *distributed* kNN: its finite
     /// candidates sorted by `(distance, id)`, truncated to `q.k`,
     /// `-0.0`-normalized. A coordinator that merges these lists across
-    /// shard processes with
-    /// [`merge_knn_candidates`](crate::merge_knn_candidates) and
-    /// [`knn_take_fill`](crate::knn_take_fill) reproduces the
-    /// in-process [`QueryExecutor::knn`] answer byte-for-byte.
+    /// shard processes with [`merge_parts`](crate::merge_parts)
+    /// reproduces the in-process [`QueryExecutor::knn`] answer
+    /// byte-for-byte.
     #[must_use]
     pub fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
         match &self.inner {
@@ -953,117 +964,84 @@ impl fmt::Debug for TrajDb {
     }
 }
 
+impl TrajDb {
+    /// The engine behind the façade, as the executor every
+    /// [`QueryExecutor`] call forwards to.
+    fn executor(&self) -> &dyn QueryExecutor {
+        match &self.inner {
+            Inner::Single(e) => e.as_ref(),
+            Inner::Sharded(e) => e,
+        }
+    }
+}
+
 impl QueryExecutor for TrajDb {
     fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Single(e) => QueryExecutor::len(e.as_ref()),
-            Inner::Sharded(e) => QueryExecutor::len(e),
-        }
+        self.executor().len()
     }
 
     fn total_points(&self) -> usize {
-        match &self.inner {
-            Inner::Single(e) => QueryExecutor::total_points(e.as_ref()),
-            Inner::Sharded(e) => QueryExecutor::total_points(e),
-        }
+        self.executor().total_points()
     }
 
     fn trajectory(&self, id: TrajId) -> trajectory::Trajectory {
-        match &self.inner {
-            Inner::Single(e) => e.trajectory(id),
-            Inner::Sharded(e) => e.trajectory(id),
-        }
+        self.executor().trajectory(id)
     }
 
     fn range(&self, q: &Cube) -> Vec<TrajId> {
-        match &self.inner {
-            Inner::Single(e) => e.range(q),
-            Inner::Sharded(e) => e.range(q),
-        }
+        self.executor().range(q)
     }
 
     fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => e.range_batch(queries),
-            Inner::Sharded(e) => e.range_batch(queries),
-        }
+        self.executor().range_batch(queries)
     }
 
     fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        match &self.inner {
-            Inner::Single(e) => e.knn(q),
-            Inner::Sharded(e) => e.knn(q),
-        }
+        self.executor().knn(q)
     }
 
     fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => e.knn_batch(queries),
-            Inner::Sharded(e) => e.knn_batch(queries),
-        }
+        self.executor().knn_batch(queries)
     }
 
     fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        match &self.inner {
-            Inner::Single(e) => e.similarity(q),
-            Inner::Sharded(e) => e.similarity(q),
-        }
+        self.executor().similarity(q)
     }
 
     fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => e.similarity_batch(queries),
-            Inner::Sharded(e) => e.similarity_batch(queries),
-        }
+        self.executor().similarity_batch(queries)
     }
 
     fn has_kept_bitmap(&self) -> bool {
-        match &self.inner {
-            Inner::Single(e) => e.has_kept_bitmap(),
-            Inner::Sharded(e) => e.has_kept_bitmaps(),
-        }
+        self.executor().has_kept_bitmap()
     }
 
     fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => e.range_kept(q),
-            Inner::Sharded(e) => e.range_kept(q),
-        }
+        self.executor().range_kept(q)
     }
 
     fn range_simplified(&self, simp: &Simplification, q: &Cube) -> Vec<TrajId> {
-        match &self.inner {
-            Inner::Single(e) => QueryExecutor::range_simplified(e.as_ref(), simp, q),
-            Inner::Sharded(e) => QueryExecutor::range_simplified(e, simp, q),
-        }
+        self.executor().range_simplified(simp, q)
     }
 
     fn range_simplified_batch(&self, simp: &Simplification, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        match &self.inner {
-            Inner::Single(e) => QueryExecutor::range_simplified_batch(e.as_ref(), simp, queries),
-            Inner::Sharded(e) => QueryExecutor::range_simplified_batch(e, simp, queries),
-        }
+        self.executor().range_simplified_batch(simp, queries)
     }
 
     fn maintained_workload(&self, queries: Vec<Cube>, simp: &Simplification) -> MaintainedWorkload {
-        match &self.inner {
-            Inner::Single(e) => e.maintained_workload(queries, simp),
-            Inner::Sharded(e) => e.maintained_workload(queries, simp),
-        }
+        self.executor().maintained_workload(queries, simp)
     }
 
     fn execute_one(&self, q: &Query) -> QueryResult {
-        match &self.inner {
-            Inner::Single(e) => e.execute_one(q),
-            Inner::Sharded(e) => e.execute_one(q),
-        }
+        self.executor().execute_one(q)
+    }
+
+    fn execute_part(&self, q: &Query) -> ShardResult {
+        self.executor().execute_part(q)
     }
 
     fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult> {
-        match &self.inner {
-            Inner::Single(e) => e.as_ref().execute_batch(batch),
-            Inner::Sharded(e) => e.execute_batch(batch),
-        }
+        self.executor().execute_batch(batch)
     }
 }
 

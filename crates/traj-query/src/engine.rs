@@ -28,6 +28,7 @@ use trajectory::{
 };
 
 use crate::knn::KnnQuery;
+use crate::merge::{knn_candidates_from, merge_parts, QueryRef, ShardResult};
 use crate::metrics::{f1_sets, F1Score};
 use crate::parallel::{par_map, par_map_with};
 use crate::range::range_query_store;
@@ -386,25 +387,15 @@ impl<'a> QueryEngine<'a> {
     /// pruning over the columns.
     #[must_use]
     pub fn range(&self, q: &Cube) -> Vec<TrajId> {
-        // Dispatch on the concrete index type so the per-node traversal
-        // (cube tests, slab scans) monomorphizes and inlines.
-        match &self.backend {
-            IndexBackend::Scan => range_query_store(&self.store, q),
-            IndexBackend::Octree(t) => self.range_marked(t, q),
-            IndexBackend::MedianKd(t) => self.range_marked(t, q),
-        }
-    }
-
-    fn range_marked<I: SpatioTemporalIndex>(&self, index: &I, q: &Cube) -> Vec<TrajId> {
-        let mut hit = vec![false; self.store.len()];
-        range_mark(index, index.root(), q, &mut hit);
-        collect_hits(&hit)
+        self.range_scratch(q, &mut QueryScratch::new())
     }
 
     /// [`QueryEngine::range`] reusing a worker's scratch hit buffer —
     /// the per-query unit batch passes run, so a batch of W queries
     /// allocates one buffer per worker instead of W.
     pub(crate) fn range_scratch(&self, q: &Cube, scratch: &mut QueryScratch) -> Vec<TrajId> {
+        // Dispatch on the concrete index type so the per-node traversal
+        // (cube tests, slab scans) monomorphizes and inlines.
         match &self.backend {
             IndexBackend::Scan => range_query_store(&self.store, q),
             IndexBackend::Octree(t) => {
@@ -479,9 +470,7 @@ impl<'a> QueryEngine<'a> {
     /// so both executors present one `D'`-serving surface.
     #[must_use]
     pub fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        self.kept
-            .as_ref()
-            .map(|kept| self.range_with_bitmap(kept, q))
+        self.range_kept_scratch(q, &mut QueryScratch::new())
     }
 
     /// [`QueryEngine::range_kept`] reusing a worker's scratch buffers.
@@ -500,9 +489,7 @@ impl<'a> QueryEngine<'a> {
     /// index only leaves intersecting `q` are touched.
     #[must_use]
     pub fn range_with_bitmap(&self, kept: &KeptBitmap, q: &Cube) -> Vec<TrajId> {
-        let mut hit = vec![false; self.store.len()];
-        self.mark_with_bitmap(kept, q, &mut hit);
-        collect_hits(&hit)
+        self.range_with_bitmap_scratch(kept, q, &mut QueryScratch::new())
     }
 
     /// [`QueryEngine::range_with_bitmap`] reusing a worker's scratch hit
@@ -582,7 +569,7 @@ impl<'a> QueryEngine<'a> {
     /// candidate distances are computed in parallel.
     #[must_use]
     pub fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        self.knn_from_finite(q.k, self.knn_finite_scored(q))
+        self.knn_impl(q, true)
     }
 
     /// [`QueryEngine::knn`] with candidate scoring run sequentially in the
@@ -590,69 +577,33 @@ impl<'a> QueryEngine<'a> {
     /// schedules without nesting thread pools (`cores` workers, not
     /// `cores²`). Identical results to [`QueryEngine::knn`].
     pub(crate) fn knn_seq(&self, q: &KnnQuery) -> Vec<TrajId> {
-        self.knn_from_finite(q.k, self.knn_finite_scored_impl(q, false))
+        self.knn_impl(q, false)
     }
 
-    /// The take-`k` / infinite-fill policy shared by the parallel and
-    /// sequential kNN paths. Every trajectory absent from `finite` ranks
-    /// at infinity. The reference scan orders by (distance, id), so all
-    /// finite distances come first and the infinite tail fills in
-    /// ascending id order.
-    fn knn_from_finite(&self, k: usize, finite: Vec<(f64, TrajId)>) -> Vec<TrajId> {
-        let mut in_finite = vec![false; self.store.len()];
-        for &(_, id) in &finite {
-            in_finite[id] = true;
-        }
-        let mut ids: Vec<TrajId> = finite.into_iter().take(k).map(|(_, id)| id).collect();
-        if ids.len() < k {
-            for (id, _) in in_finite.iter().enumerate().filter(|(_, &f)| !f) {
-                ids.push(id);
-                if ids.len() == k {
-                    break;
-                }
-            }
-        }
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The finite-distance half of a kNN execution: every trajectory whose
-    /// windowed distance to the query is finite, as `(distance, id)` pairs
-    /// sorted ascending by `(distance, id)`. [`QueryEngine::knn`] is this
-    /// plus the take-`k` / infinite-fill policy; the sharded engine merges
-    /// these lists across shards (mapping ids to global ones) and applies
-    /// the same policy once, globally — which is what makes fan-out kNN
-    /// byte-identical to the single-store execution.
-    pub(crate) fn knn_finite_scored(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        self.knn_finite_scored_impl(q, true)
+    /// The engine's candidates as its only part, finished by the shared
+    /// merge's take-`k` / infinite-fill policy over `0..len`.
+    fn knn_impl(&self, q: &KnnQuery, parallel: bool) -> Vec<TrajId> {
+        let part = ShardResult::Candidates(self.knn_candidates_impl(q, parallel));
+        merge_parts(QueryRef::Knn(q), vec![part], 0..self.store.len())
+            .into_ids()
+            .unwrap_or_default()
     }
 
     /// This store's contribution to a distributed kNN: its
     /// finite-distance candidates sorted by `(distance, id)`, truncated
     /// to the query's `k`, with `-0.0` distances normalized to `+0.0`
     /// so the coordinator's `total_cmp` merge agrees with the
-    /// `partial_cmp` sort used here. Feeding these lists through
-    /// [`merge_knn_candidates`](crate::merge_knn_candidates) and
-    /// [`knn_take_fill`](crate::knn_take_fill) reproduces
+    /// `partial_cmp` order of the single-store scan. Merging these lists
+    /// with [`merge_parts`] reproduces
     /// [`QueryEngine::knn`] byte-for-byte.
     #[must_use]
     pub fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        let mut scored = self.knn_finite_scored(q);
-        scored.truncate(q.k);
-        for entry in &mut scored {
-            entry.0 += 0.0;
-        }
-        scored
+        self.knn_candidates_impl(q, true)
     }
 
-    /// [`QueryEngine::knn_finite_scored`] with the candidate scoring loop
-    /// either parallel (`par_map`) or sequential — results are identical
-    /// (both preserve candidate order before the final sort).
-    pub(crate) fn knn_finite_scored_impl(
-        &self,
-        q: &KnnQuery,
-        parallel: bool,
-    ) -> Vec<(f64, TrajId)> {
+    /// [`QueryEngine::knn_candidates`] with the candidate scoring loop
+    /// either parallel (`par_map`) or sequential — results are identical.
+    fn knn_candidates_impl(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
         let q_window = q.query_window();
         let candidates: Vec<TrajId> = match (self.spatial_index(), q_window.is_empty()) {
             // No index, or a degenerate window (where even trajectories
@@ -686,14 +637,10 @@ impl<'a> QueryEngine<'a> {
         } else {
             candidates.iter().map(score).collect()
         };
-        let mut finite: Vec<(f64, TrajId)> =
-            scored.into_iter().filter(|(d, _)| d.is_finite()).collect();
-        finite.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        finite
+        knn_candidates_from(
+            scored.into_iter().filter(|(d, _)| d.is_finite()).collect(),
+            q.k,
+        )
     }
 
     /// Executes a batch of kNN queries (parallelism lives inside each
@@ -735,6 +682,19 @@ impl<'a> QueryEngine<'a> {
     /// sequentially — the per-query unit batch passes parallelize over.
     pub(crate) fn similarity_seq(&self, q: &SimilarityQuery) -> Vec<TrajId> {
         q.execute_store(&self.store)
+    }
+
+    /// This engine's part of `q` for the shared merge, in the engine's
+    /// own ids; `parallel` picks the parallel or sequential kNN scoring
+    /// and similarity checks.
+    pub(crate) fn part(&self, q: QueryRef<'_>, parallel: bool) -> ShardResult {
+        match q {
+            QueryRef::Range(c) => ShardResult::Ids(self.range(c)),
+            QueryRef::Knn(k) => ShardResult::Candidates(self.knn_candidates_impl(k, parallel)),
+            QueryRef::Similarity(s) if parallel => ShardResult::Ids(self.similarity(s)),
+            QueryRef::Similarity(s) => ShardResult::Ids(self.similarity_seq(s)),
+            QueryRef::RangeKept(c) => ShardResult::Kept(self.range_kept(c)),
+        }
     }
 
     // ------------------------------------------------------------------

@@ -23,13 +23,17 @@
 //! Queries see one logical database: trajectory ids are assigned in
 //! ingest order (`base` first, then sealed segments, then the active
 //! delta), and every operator answers **identically to a from-scratch
-//! rebuild** over the same trajectories — the merge reuses the
-//! distributed kNN kernels ([`merge_knn_candidates`],
-//! [`knn_take_fill`]) that already reproduce single-store answers
-//! byte-for-byte, and the delta side is pruned per trajectory through
-//! cached bounding cubes. Compaction preserves ids: folding appends
-//! sealed trajectories to the base columns in segment order, exactly
-//! where the merged view already placed them.
+//! rebuild** over the same trajectories. A query runs as two parts —
+//! the base engine's, and one scan over the whole delta that skips
+//! each trajectory the shared pruning rule
+//! ([`QueryRef::touches_bounds`](crate::QueryRef::touches_bounds))
+//! rules out by its cached bounding cube — folded by the same merge the
+//! sharded engine and the distributed coordinator use
+//! ([`merge_parts`]), which already reproduces single-store answers
+//! byte-for-byte. The delta keeps no kept bitmap,
+//! so `RangeKept` answers `None`. Compaction preserves ids: folding
+//! appends sealed trajectories to the base columns in segment order,
+//! exactly where the merged view already placed them.
 //!
 //! # Directory layout
 //!
@@ -94,7 +98,7 @@ use trajectory::{AsColumns, Cube, PointStore, Simplification, TrajId, TrajView, 
 use crate::db::{DbOptions, OpenMode, Query, QueryBatch, QueryExecutor, QueryResult};
 use crate::engine::{MaintainedWorkload, QueryEngine};
 use crate::knn::KnnQuery;
-use crate::sharded::{knn_take_fill, merge_knn_candidates};
+use crate::merge::{combine_parts, knn_candidates_from, merge_parts, QueryRef, ShardResult};
 use crate::similarity::SimilarityQuery;
 
 /// File name of the generation manifest inside a live-db directory.
@@ -355,78 +359,60 @@ impl Inner {
         self.active.store().view(id - next).to_trajectory()
     }
 
-    fn range(&self, q: &Cube) -> Vec<TrajId> {
-        let mut ids = self.base.range(q);
-        self.for_each_delta(|global, bounds, v| {
-            if bounds.intersects(q) && any_in_cube(v.xs, v.ys, v.ts, q) {
-                ids.push(global);
-            }
-        });
-        ids
-    }
-
-    /// The delta side's contribution to a distributed kNN, in the same
-    /// shape [`QueryEngine::knn_candidates`] produces: finite-distance
-    /// candidates sorted by `(distance, id)`, truncated to `k`, with
-    /// `-0.0` normalized to `+0.0` for the `total_cmp` merge.
-    fn delta_knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        let q_window = q.query_window();
-        let mut finite: Vec<(f64, TrajId)> = Vec::new();
-        self.for_each_delta(|global, bounds, v| {
-            // With an empty query window every trajectory scores 0.0, so
-            // the time prune is only sound when the window is non-empty
-            // (time-disjoint trajectories then score infinity anyway).
-            if !q_window.is_empty() && (bounds.t_max < q.ts || bounds.t_min > q.te) {
-                return;
-            }
-            let d = q.windowed_distance_view(q_window, v);
-            if d.is_finite() {
-                finite.push((d, global));
-            }
-        });
-        finite.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        finite.truncate(q.k);
-        for entry in &mut finite {
-            entry.0 += 0.0;
-        }
-        finite
-    }
-
-    fn knn_streams(&self, q: &KnnQuery, parallel: bool) -> [Vec<(f64, TrajId)>; 2] {
-        let mut base = self.base.knn_finite_scored_impl(q, parallel);
-        base.truncate(q.k);
-        for entry in &mut base {
-            entry.0 += 0.0;
-        }
-        [base, self.delta_knn_candidates(q)]
-    }
-
-    fn knn_candidates(&self, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
-        merge_knn_candidates(q.k, &self.knn_streams(q, parallel))
-    }
-
-    fn knn(&self, q: &KnnQuery, parallel: bool) -> Vec<TrajId> {
-        let merged = self.knn_candidates(q, parallel);
-        knn_take_fill(q.k, &merged, 0..self.total_len())
-    }
-
-    fn similarity(&self, q: &SimilarityQuery, parallel: bool) -> Vec<TrajId> {
-        let mut ids = if parallel {
-            self.base.similarity(q)
-        } else {
-            self.base.similarity_seq(q)
+    /// The delta's part of `q`: one scan over the delta trajectories
+    /// the shared pruning rule cannot rule out by their cached bounds.
+    /// The delta keeps no kept bitmap, so a kept-bitmap query gets
+    /// `Kept(None)` — which the merge turns into a `None` answer.
+    fn delta_part(&self, q: QueryRef<'_>) -> ShardResult {
+        let q_window = match q {
+            QueryRef::Knn(k) => k.query_window(),
+            QueryRef::RangeKept(_) => return ShardResult::Kept(None),
+            _ => &[],
         };
+        let mut hits = Vec::new();
+        let mut scored = Vec::new();
         self.for_each_delta(|global, bounds, v| {
-            // Conservative prune: `matches_seq` always rejects
-            // trajectories entirely outside the query's time window.
-            if bounds.t_max < q.ts || bounds.t_min > q.te {
+            if !q.touches_bounds(bounds) {
                 return;
             }
-            if q.matches_seq(&v) {
-                ids.push(global);
+            match q {
+                QueryRef::Range(c) if any_in_cube(v.xs, v.ys, v.ts, c) => hits.push(global),
+                QueryRef::Similarity(s) if s.matches_seq(&v) => hits.push(global),
+                QueryRef::Knn(k) => {
+                    let d = k.windowed_distance_view(q_window, v);
+                    if d.is_finite() {
+                        scored.push((d, global));
+                    }
+                }
+                _ => {}
             }
         });
-        ids
+        match q {
+            QueryRef::Knn(k) => ShardResult::Candidates(knn_candidates_from(scored, k.k)),
+            _ => ShardResult::Ids(hits),
+        }
+    }
+
+    /// The two parts of the merged view: the base generation (its ids
+    /// are already global) and the whole delta.
+    fn parts(&self, q: QueryRef<'_>, parallel: bool) -> Vec<ShardResult> {
+        vec![self.base.part(q, parallel), self.delta_part(q)]
+    }
+
+    /// Answers `q` over base + delta through the shared merge.
+    fn execute(&self, q: QueryRef<'_>, parallel: bool) -> QueryResult {
+        merge_parts(q, self.parts(q, parallel), 0..self.total_len())
+    }
+
+    /// [`Inner::execute`] for the kinds that always answer with ids.
+    fn ids(&self, q: QueryRef<'_>, parallel: bool) -> Vec<TrajId> {
+        self.execute(q, parallel).into_ids().unwrap_or_default()
+    }
+
+    /// The merged view's part of `q` as one shard of a bigger database:
+    /// base and delta combined, with no kNN fill.
+    fn part(&self, q: QueryRef<'_>, parallel: bool) -> ShardResult {
+        combine_parts(q, self.parts(q, parallel))
     }
 
     fn kept_of(simp: &Simplification, id: TrajId) -> &[u32] {
@@ -455,7 +441,7 @@ impl Inner {
     }
 
     fn maintained_workload(&self, queries: Vec<Cube>, simp: &Simplification) -> MaintainedWorkload {
-        let truth = par_map(&queries, |q| self.range(q));
+        let truth = par_map(&queries, |q| self.ids(QueryRef::Range(q), false));
         let counts = par_map(&queries, |q| {
             let mut counts = HashMap::new();
             let mut tally = |id: TrajId, v: TrajView<'_>| {
@@ -481,17 +467,6 @@ impl Inner {
             counts
         });
         MaintainedWorkload::from_parts(queries, truth, counts)
-    }
-
-    /// One typed query with sequential inner loops — the unit
-    /// [`QueryExecutor::execute_batch`] parallelizes over.
-    fn execute_one(&self, q: &Query) -> QueryResult {
-        match q {
-            Query::Range(c) => QueryResult::Range(self.range(c)),
-            Query::Knn(k) => QueryResult::Knn(self.knn(k, false)),
-            Query::Similarity(s) => QueryResult::Similarity(self.similarity(s, false)),
-            Query::RangeKept(_) => QueryResult::RangeKept(None),
-        }
     }
 
     fn bounding_cube(&self) -> Cube {
@@ -870,7 +845,11 @@ impl GenerationalDb {
     /// [`QueryEngine::knn_candidates`] produces, so a coordinator can
     /// merge live shards and static shards identically.
     pub fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        self.inner.read().unwrap().knn_candidates(q, true)
+        self.inner
+            .read()
+            .unwrap()
+            .part(QueryRef::Knn(q), true)
+            .into_candidates()
     }
 }
 
@@ -888,30 +867,33 @@ impl QueryExecutor for GenerationalDb {
     }
 
     fn range(&self, q: &Cube) -> Vec<TrajId> {
-        self.inner.read().unwrap().range(q)
+        self.inner.read().unwrap().ids(QueryRef::Range(q), true)
     }
 
     fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
         let inner = self.inner.read().unwrap();
-        par_map(queries, |q| inner.range(q))
+        par_map(queries, |q| inner.ids(QueryRef::Range(q), false))
     }
 
     fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        self.inner.read().unwrap().knn(q, true)
+        self.inner.read().unwrap().ids(QueryRef::Knn(q), true)
     }
 
     fn knn_batch(&self, queries: &[KnnQuery]) -> Vec<Vec<TrajId>> {
         let inner = self.inner.read().unwrap();
-        par_map(queries, |q| inner.knn(q, false))
+        par_map(queries, |q| inner.ids(QueryRef::Knn(q), false))
     }
 
     fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        self.inner.read().unwrap().similarity(q, true)
+        self.inner
+            .read()
+            .unwrap()
+            .ids(QueryRef::Similarity(q), true)
     }
 
     fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
         let inner = self.inner.read().unwrap();
-        par_map(queries, |q| inner.similarity(q, false))
+        par_map(queries, |q| inner.ids(QueryRef::Similarity(q), false))
     }
 
     fn has_kept_bitmap(&self) -> bool {
@@ -939,14 +921,18 @@ impl QueryExecutor for GenerationalDb {
     }
 
     fn execute_one(&self, q: &Query) -> QueryResult {
-        self.inner.read().unwrap().execute_one(q)
+        self.inner.read().unwrap().execute(q.into(), false)
+    }
+
+    fn execute_part(&self, q: &Query) -> ShardResult {
+        self.inner.read().unwrap().part(q.into(), true)
     }
 
     /// One read-lock acquisition for the whole batch: every query of
     /// the plan sees the same consistent generation + delta snapshot.
     fn execute_batch(&self, batch: &QueryBatch) -> Vec<QueryResult> {
         let inner = self.inner.read().unwrap();
-        par_map(batch.queries(), |q| inner.execute_one(q))
+        par_map(batch.queries(), |q| inner.execute(q.into(), false))
     }
 }
 

@@ -31,7 +31,10 @@
 //! Sharded databases (`trajectory::shard`) are served by a
 //! [`ShardedQueryEngine`]: per-shard indexes built in parallel, queries
 //! routed to the shards whose bounds can contribute, results merged to
-//! match the single-store engine byte-for-byte (see [`sharded`]).
+//! match the single-store engine byte-for-byte (see [`sharded`]). The
+//! sharded engine, the live [`GenerationalDb`] and the distributed
+//! coordinator in `traj-serve` all end in the same step: per-part
+//! [`ShardResult`]s folded by the one shared merge in [`merge`].
 //!
 //! Both engines sit behind the public façade in [`db`]: the
 //! [`QueryExecutor`] trait (one signature set over every layout), typed
@@ -69,6 +72,7 @@ pub mod engine;
 pub mod generational;
 pub mod join;
 pub mod knn;
+pub mod merge;
 pub mod metrics;
 pub mod range;
 pub mod sharded;
@@ -88,12 +92,13 @@ pub use generational::{
 };
 pub use join::{similarity_join, JoinParams};
 pub use knn::{Dissimilarity, KnnQuery};
+pub use merge::{
+    knn_take_fill, merge_global_ids, merge_knn_candidates, merge_parts, query_touches_bounds,
+    QueryRef, ShardResult,
+};
 pub use metrics::{f1_pairs, f1_sets, mean_f1, query_diff, F1Score};
 pub use range::{range_query, range_query_batch, range_query_store};
-pub use sharded::{
-    knn_take_fill, merge_global_ids, merge_knn_candidates, query_touches_bounds,
-    ShardedQueryEngine, ShardedSimplification,
-};
+pub use sharded::{ShardedQueryEngine, ShardedSimplification};
 pub use similarity::SimilarityQuery;
 pub use t2vec::T2vecEmbedder;
 pub use traclus::{traclus, TraclusParams, TraclusResult};

@@ -3,36 +3,40 @@
 //! A [`ShardedQueryEngine`] holds one [`QueryEngine`] per shard (each over
 //! its own columns — heap-owned or mmap-backed — with its own index, all
 //! built **in parallel** via [`par_map`]) plus the shard-local → global
-//! trajectory id maps and per-shard bounding cubes. Queries are routed to
-//! the shards that can contribute and the per-shard results merged so
-//! that every query returns **byte-identical answers** to a single-store
-//! [`QueryEngine`] over the unsharded database:
+//! trajectory id maps and per-shard bounding cubes. Every query runs as
+//! one fan-out: each shard the shared pruning rule
+//! ([`QueryRef::touches_bounds`]) cannot rule out produces its part of the
+//! answer, the part is mapped to global ids, and the parts go through
+//! the one merge every multi-part executor uses ([`merge_parts`], see
+//! [`merge`](crate::merge)). That makes every query return
+//! **byte-identical answers** to a single-store [`QueryEngine`] over the
+//! unsharded database:
 //!
-//! - **range**: only shards whose bounds intersect the query cube execute
-//!   it (shard-bound pruning); local hits map to global ids and merge
-//!   sorted.
-//! - **kNN**: each contributing shard produces its finite-distance
-//!   candidates best-first; a global k-heap merges the per-shard streams
-//!   by `(distance, global id)` and the single-store infinite-fill policy
-//!   is applied once, globally.
-//! - **similarity** and [`MaintainedWorkload`]: per-shard candidate
-//!   generation (interpolation makes spatial pruning unsound, exactly as
-//!   in the single-store engine), then a global merge.
+//! - **range**: shards whose bounds miss the query cube are pruned;
+//!   local hits map to global ids and merge sorted.
+//! - **kNN**: each contributing shard produces its best `k`
+//!   finite-distance candidates; the merge's global k-heap takes the
+//!   best `k` by `(distance, global id)` and applies the single-store
+//!   infinite-fill policy once, globally.
+//! - **similarity**: only the time axis prunes (interpolation makes
+//!   spatial pruning unsound, exactly as in the single-store engine).
+//! - [`MaintainedWorkload`]: per-shard candidate generation, then a
+//!   global merge.
 //!
 //! The equality is property-tested in `tests/sharded_props.rs` across all
 //! partitioners and index backends, including mmap-backed shards.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::HashMap;
 
 use trajectory::shard::{partition, OpenShard, PartitionStrategy, Shard};
 use trajectory::{
     AsColumns, Cube, KeptBitmap, MappedStore, PointStore, Simplification, StoreRef, TrajId,
 };
 
-use crate::db::Query;
+use crate::db::QueryResult;
 use crate::engine::{build_backend, EngineConfig, MaintainedWorkload, QueryEngine};
 use crate::knn::KnnQuery;
+use crate::merge::{combine_parts, merge_parts, QueryRef, ShardResult};
 use crate::parallel::{par_map, par_map_indexed};
 use crate::similarity::SimilarityQuery;
 
@@ -249,19 +253,64 @@ impl<'a> ShardedQueryEngine<'a> {
         unreachable!("shard global ids partition 0..total")
     }
 
-    /// Maps per-shard local result lists to global ids and merges them
-    /// ascending.
-    fn merge_local(&self, per_shard: Vec<Vec<TrajId>>) -> Vec<TrajId> {
-        let mut out = Vec::with_capacity(per_shard.iter().map(Vec::len).sum());
-        for (sh, ids) in self.shards.iter().zip(per_shard) {
-            out.extend(ids.into_iter().map(|local| sh.global_ids[local]));
+    // ------------------------------------------------------------------
+    // The fan-out.
+    // ------------------------------------------------------------------
+
+    /// Every shard's part of `q`, in global ids: shards the pruning rule
+    /// rules out contribute the empty part, the rest run `part` and map
+    /// its shard-local ids through `global_ids`. `parallel` runs the
+    /// shards on a [`par_map`] (one-shot queries) or in the calling
+    /// thread (the per-query unit batch passes parallelize over).
+    fn shard_parts<F>(&self, q: QueryRef<'_>, parallel: bool, part: F) -> Vec<ShardResult>
+    where
+        F: Fn(usize, &ShardHandle<'a>) -> ShardResult + Sync,
+    {
+        let one = |i: usize, sh: &ShardHandle<'a>| {
+            if !q.touches_bounds(&sh.bounds) {
+                return ShardResult::empty(q, sh.engine.has_kept_bitmap());
+            }
+            part(i, sh)
+                .to_global(&sh.global_ids)
+                .expect("shard-local ids index the shard's global ids")
+        };
+        if parallel {
+            par_map_indexed(&self.shards, one)
+        } else {
+            self.shards
+                .iter()
+                .enumerate()
+                .map(|(i, sh)| one(i, sh))
+                .collect()
         }
-        out.sort_unstable();
-        out
+    }
+
+    /// Answers `q` by fanning it out to every shard's engine and merging
+    /// the parts. With `parallel == false` this is the per-query unit
+    /// [`QueryExecutor::execute_batch`](crate::QueryExecutor::execute_batch)
+    /// parallelizes over.
+    pub(crate) fn execute_ref(&self, q: QueryRef<'_>, parallel: bool) -> QueryResult {
+        let parts = self.shard_parts(q, parallel, |_, sh| sh.engine.part(q, parallel));
+        merge_parts(q, parts, 0..self.total_trajs)
+    }
+
+    /// [`ShardedQueryEngine::execute_ref`] for the kinds that always
+    /// answer with ids.
+    fn ids(&self, q: QueryRef<'_>, parallel: bool) -> Vec<TrajId> {
+        self.execute_ref(q, parallel).into_ids().unwrap_or_default()
+    }
+
+    /// This engine's part of `q` as one shard of a bigger database: the
+    /// shards' parts combined, with no kNN fill.
+    pub(crate) fn part(&self, q: QueryRef<'_>, parallel: bool) -> ShardResult {
+        combine_parts(
+            q,
+            self.shard_parts(q, parallel, |_, sh| sh.engine.part(q, parallel)),
+        )
     }
 
     // ------------------------------------------------------------------
-    // Range queries.
+    // Per-kind queries.
     // ------------------------------------------------------------------
 
     /// Executes a range query, fanning out across shards in parallel.
@@ -270,7 +319,7 @@ impl<'a> ShardedQueryEngine<'a> {
     /// unsharded store.
     #[must_use]
     pub fn range(&self, q: &Cube) -> Vec<TrajId> {
-        self.merge_local(par_map(&self.shards, |sh| shard_range(sh, q)))
+        self.ids(QueryRef::Range(q), true)
     }
 
     /// Executes a whole batch of range queries, parallel across queries
@@ -278,88 +327,38 @@ impl<'a> ShardedQueryEngine<'a> {
     /// parallelism, not `cores²` threads).
     #[must_use]
     pub fn range_batch(&self, queries: &[Cube]) -> Vec<Vec<TrajId>> {
-        par_map(queries, |q| self.range_seq(q))
-    }
-
-    /// [`ShardedQueryEngine::range`] walking the shards sequentially —
-    /// the per-query unit batch passes parallelize over.
-    pub(crate) fn range_seq(&self, q: &Cube) -> Vec<TrajId> {
-        self.merge_local(self.shards.iter().map(|sh| shard_range(sh, q)).collect())
+        par_map(queries, |q| self.ids(QueryRef::Range(q), false))
     }
 
     /// Executes a range query against the *persisted* per-shard kept
-    /// bitmaps (a simplified shard set) — `None` when the shards carry no
-    /// bitmaps. Identical results to [`QueryEngine::range_kept`] with the
-    /// equivalent global bitmap.
+    /// bitmaps (a simplified shard set) — `None` unless every shard
+    /// carries a bitmap. Identical results to [`QueryEngine::range_kept`]
+    /// with the equivalent global bitmap.
     #[must_use]
     pub fn range_kept(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        if !self.has_kept_bitmaps() {
-            return None;
-        }
-        Some(self.merge_local(par_map(&self.shards, |sh| shard_range_kept(sh, q))))
+        self.execute_ref(QueryRef::RangeKept(q), true).into_ids()
     }
 
-    /// [`ShardedQueryEngine::range_kept`] walking the shards sequentially
-    /// — the per-query unit batch passes parallelize over.
-    pub(crate) fn range_kept_seq(&self, q: &Cube) -> Option<Vec<TrajId>> {
-        if !self.has_kept_bitmaps() {
-            return None;
-        }
-        Some(
-            self.merge_local(
-                self.shards
-                    .iter()
-                    .map(|sh| shard_range_kept(sh, q))
-                    .collect(),
-            ),
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // kNN queries.
-    // ------------------------------------------------------------------
-
-    /// Executes a kNN query: contributing shards produce their
-    /// finite-distance candidates best-first (shards temporally disjoint
-    /// from the window are pruned), a global k-heap merges the streams by
+    /// Executes a kNN query: contributing shards produce their best `k`
+    /// finite-distance candidates (shards temporally disjoint from the
+    /// window are pruned), the merge takes the global best `k` by
     /// `(distance, global id)`, and the infinite tail fills in ascending
     /// global id order — the exact single-store policy, applied once
     /// globally. Identical results to [`QueryEngine::knn`].
     #[must_use]
     pub fn knn(&self, q: &KnnQuery) -> Vec<TrajId> {
-        let per_shard = par_map(&self.shards, |sh| shard_knn_candidates(sh, q, true));
-        self.knn_merge(q.k, per_shard)
-    }
-
-    /// [`ShardedQueryEngine::knn`] walking the shards sequentially with
-    /// sequential per-shard scoring — the per-query unit batch passes
-    /// parallelize over. Identical results to [`ShardedQueryEngine::knn`].
-    pub(crate) fn knn_seq(&self, q: &KnnQuery) -> Vec<TrajId> {
-        let per_shard = self
-            .shards
-            .iter()
-            .map(|sh| shard_knn_candidates(sh, q, false))
-            .collect();
-        self.knn_merge(q.k, per_shard)
-    }
-
-    /// The global merge half of a kNN fan-out (see
-    /// [`ShardedQueryEngine::knn`]).
-    fn knn_merge(&self, k: usize, per_shard: Vec<Vec<(f64, TrajId)>>) -> Vec<TrajId> {
-        knn_take_fill(k, &merge_knn_candidates(k, &per_shard), 0..self.total_trajs)
+        self.ids(QueryRef::Knn(q), true)
     }
 
     /// This engine's contribution to a distributed kNN: the global best
     /// `k` finite-distance candidates, sorted by `(distance, global
     /// id)`, `-0.0`-normalized — the sharded twin of
-    /// [`QueryEngine::knn_candidates`]. A remote coordinator merges
-    /// these lists across shard processes with [`merge_knn_candidates`]
-    /// and [`knn_take_fill`] and reproduces
-    /// [`ShardedQueryEngine::knn`] byte-for-byte.
+    /// [`QueryEngine::knn_candidates`]. A remote coordinator merging
+    /// these lists across shard processes with [`merge_parts`]
+    /// reproduces [`ShardedQueryEngine::knn`] byte-for-byte.
     #[must_use]
     pub fn knn_candidates(&self, q: &KnnQuery) -> Vec<(f64, TrajId)> {
-        let per_shard = par_map(&self.shards, |sh| shard_knn_candidates(sh, q, true));
-        merge_knn_candidates(q.k, &per_shard)
+        self.part(QueryRef::Knn(q), true).into_candidates()
     }
 
     /// Executes a batch of kNN queries (parallelism lives inside each
@@ -369,10 +368,6 @@ impl<'a> ShardedQueryEngine<'a> {
         queries.iter().map(|q| self.knn(q)).collect()
     }
 
-    // ------------------------------------------------------------------
-    // Similarity queries.
-    // ------------------------------------------------------------------
-
     /// Executes a similarity query: per-shard candidate generation in
     /// parallel, global merge. Spatial pruning stays unsound here (a
     /// trajectory can match through interpolation with no sampled point
@@ -380,24 +375,13 @@ impl<'a> ShardedQueryEngine<'a> {
     /// cannot match. Identical results to [`QueryEngine::similarity`].
     #[must_use]
     pub fn similarity(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        self.merge_local(par_map(&self.shards, |sh| shard_similarity(sh, q)))
+        self.ids(QueryRef::Similarity(q), true)
     }
 
     /// Executes a batch of similarity queries, parallel across queries.
     #[must_use]
     pub fn similarity_batch(&self, queries: &[SimilarityQuery]) -> Vec<Vec<TrajId>> {
-        par_map(queries, |q| self.similarity_seq(q))
-    }
-
-    /// [`ShardedQueryEngine::similarity`] walking the shards sequentially
-    /// — the per-query unit batch passes parallelize over.
-    pub(crate) fn similarity_seq(&self, q: &SimilarityQuery) -> Vec<TrajId> {
-        self.merge_local(
-            self.shards
-                .iter()
-                .map(|sh| shard_similarity(sh, q))
-                .collect(),
-        )
+        par_map(queries, |q| self.ids(QueryRef::Similarity(q), false))
     }
 
     // ------------------------------------------------------------------
@@ -454,13 +438,7 @@ impl<'a> ShardedQueryEngine<'a> {
     /// simplification.
     #[must_use]
     pub fn range_simplified_local(&self, simp: &ShardedSimplification, q: &Cube) -> Vec<TrajId> {
-        assert_eq!(simp.locals.len(), self.shards.len(), "shard count mismatch");
-        self.merge_local(par_map_indexed(&self.shards, |i, sh| {
-            if !sh.bounds.intersects(q) {
-                return Vec::new();
-            }
-            sh.engine.range_simplified(&simp.locals[i], q)
-        }))
+        self.range_simplified_parts(simp, q, true)
     }
 
     /// Batch variant of [`ShardedQueryEngine::range_simplified_local`],
@@ -471,21 +449,24 @@ impl<'a> ShardedQueryEngine<'a> {
         simp: &ShardedSimplification,
         queries: &[Cube],
     ) -> Vec<Vec<TrajId>> {
+        par_map(queries, |q| self.range_simplified_parts(simp, q, false))
+    }
+
+    /// The range fan-out with each shard answering against its local
+    /// simplification instead of its full columns.
+    fn range_simplified_parts(
+        &self,
+        simp: &ShardedSimplification,
+        q: &Cube,
+        parallel: bool,
+    ) -> Vec<TrajId> {
         assert_eq!(simp.locals.len(), self.shards.len(), "shard count mismatch");
-        par_map(queries, |q| {
-            self.merge_local(
-                self.shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, sh)| {
-                        if !sh.bounds.intersects(q) {
-                            return Vec::new();
-                        }
-                        sh.engine.range_simplified(&simp.locals[i], q)
-                    })
-                    .collect(),
-            )
-        })
+        let parts = self.shard_parts(QueryRef::Range(q), parallel, |i, sh| {
+            ShardResult::Ids(sh.engine.range_simplified(&simp.locals[i], q))
+        });
+        merge_parts(QueryRef::Range(q), parts, 0..self.total_trajs)
+            .into_ids()
+            .unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -510,7 +491,7 @@ impl<'a> ShardedQueryEngine<'a> {
             let mut counts: HashMap<TrajId, u32> = HashMap::new();
             for sh in &self.shards {
                 // Kept points inside q lie inside the shard's bounds.
-                if !sh.bounds.intersects(q) {
+                if !QueryRef::Range(q).touches_bounds(&sh.bounds) {
                     continue;
                 }
                 for (local, v) in sh.engine.store().iter() {
@@ -548,206 +529,6 @@ impl ShardedSimplification {
     #[must_use]
     pub fn total_points(&self) -> usize {
         self.locals.iter().map(Simplification::total_points).sum()
-    }
-}
-
-/// True when `q` can contribute results from a shard whose points all
-/// lie inside `bounds` — the single definition of the router's pruning
-/// rules, shared by the in-process fan-out below and by a distributed
-/// coordinator deciding which shard *processes* to send a query to at
-/// all:
-///
-/// - **range / range-kept**: the query cube must intersect the bounds
-///   (a hit is a sampled point inside both).
-/// - **kNN**: a shard temporally disjoint from a *non-empty* query
-///   window cannot score finite. With an empty window every trajectory
-///   scores finite (the both-empty convention), so nothing prunes.
-/// - **similarity**: only the time axis prunes — interpolation makes
-///   spatial pruning unsound, but a candidate in a shard disjoint from
-///   `[ts, te]` always fails the matcher's window-overlap test.
-///
-/// A `false` here guarantees the shard's contribution is empty, so
-/// skipping it cannot change the merged answer.
-#[must_use]
-pub fn query_touches_bounds(q: &Query, bounds: &Cube) -> bool {
-    match q {
-        Query::Range(c) | Query::RangeKept(c) => bounds.intersects(c),
-        Query::Knn(k) => {
-            k.query_window().is_empty() || !(bounds.t_max < k.ts || bounds.t_min > k.te)
-        }
-        Query::Similarity(s) => !(bounds.t_max < s.ts || bounds.t_min > s.te),
-    }
-}
-
-/// One shard's share of a range query (shard-local ids).
-fn shard_range(sh: &ShardHandle<'_>, q: &Cube) -> Vec<TrajId> {
-    if !sh.bounds.intersects(q) {
-        return Vec::new();
-    }
-    sh.engine.range(q)
-}
-
-/// One shard's share of a kept-bitmap range query (shard-local ids). The
-/// caller guarantees every shard engine carries a bitmap.
-fn shard_range_kept(sh: &ShardHandle<'_>, q: &Cube) -> Vec<TrajId> {
-    if !sh.bounds.intersects(q) {
-        return Vec::new();
-    }
-    sh.engine
-        .range_kept(q)
-        .expect("checked by has_kept_bitmaps")
-}
-
-/// One shard's finite-distance kNN candidates, mapped to global ids and
-/// truncated to the query's `k` (only a shard's best `k` can reach the
-/// global top `k`; anything past that is dead weight in the merge — the
-/// infinite-fill path is unaffected, since it only triggers when the
-/// global finite count is below `k`, in which case no shard was
-/// truncated). Pruning is [`query_touches_bounds`]' kNN rule.
-fn shard_knn_candidates(sh: &ShardHandle<'_>, q: &KnnQuery, parallel: bool) -> Vec<(f64, TrajId)> {
-    let window_empty = q.query_window().is_empty();
-    if !window_empty && (sh.bounds.t_max < q.ts || sh.bounds.t_min > q.te) {
-        return Vec::new();
-    }
-    let mut scored = sh.engine.knn_finite_scored_impl(q, parallel);
-    scored.truncate(q.k);
-    for entry in &mut scored {
-        entry.1 = sh.global_ids[entry.1];
-        entry.0 += 0.0; // normalize -0.0 so total_cmp == partial_cmp
-    }
-    scored
-}
-
-/// One shard's share of a similarity query (shard-local ids). Only the
-/// time axis prunes (see [`query_touches_bounds`]).
-fn shard_similarity(sh: &ShardHandle<'_>, q: &SimilarityQuery) -> Vec<TrajId> {
-    if sh.bounds.t_max < q.ts || sh.bounds.t_min > q.te {
-        return Vec::new();
-    }
-    q.execute_store(sh.engine.store())
-}
-
-/// Merges per-stream kNN candidate lists into the global best `k`,
-/// still sorted ascending by `(distance, id)`. Each input stream must
-/// be sorted ascending by `(distance, id)` with finite,
-/// `-0.0`-normalized distances and globally unique ids — the shape
-/// [`QueryEngine::knn_candidates`] returns. This is the exact k-heap
-/// [`ShardedQueryEngine::knn`] runs in-process, exposed so a
-/// coordinator merging candidates from shard *processes* reproduces it
-/// byte-for-byte.
-#[must_use]
-pub fn merge_knn_candidates(k: usize, per_stream: &[Vec<(f64, TrajId)>]) -> Vec<(f64, TrajId)> {
-    // Global k-heap: a best-first k-way merge over the sorted
-    // per-stream lists. Ties on distance break by id, exactly like the
-    // single-store sort.
-    let mut heap: BinaryHeap<std::cmp::Reverse<KnnHeapEntry>> = BinaryHeap::new();
-    for (shard, list) in per_stream.iter().enumerate() {
-        if let Some(&(d, id)) = list.first() {
-            heap.push(std::cmp::Reverse(KnnHeapEntry {
-                d,
-                id,
-                shard,
-                pos: 0,
-            }));
-        }
-    }
-    // `k` comes from the client: size by what the streams can yield.
-    let available: usize = per_stream.iter().map(Vec::len).sum();
-    let mut merged: Vec<(f64, TrajId)> = Vec::with_capacity(k.min(available));
-    while merged.len() < k {
-        let Some(std::cmp::Reverse(e)) = heap.pop() else {
-            break;
-        };
-        merged.push((e.d, e.id));
-        if let Some(&(d, id)) = per_stream[e.shard].get(e.pos + 1) {
-            heap.push(std::cmp::Reverse(KnnHeapEntry {
-                d,
-                id,
-                shard: e.shard,
-                pos: e.pos + 1,
-            }));
-        }
-    }
-    merged
-}
-
-/// Applies the single-store take-`k` / infinite-fill policy to a
-/// [`merge_knn_candidates`] result: take the candidate ids and, when
-/// fewer than `k` trajectories scored finite, fill with ids from
-/// `universe` not already present, then sort ascending. `universe`
-/// must yield the servable trajectory ids in ascending order —
-/// `0..total` for a complete database, the surviving shards' global
-/// ids for a degraded one.
-///
-/// When `merged.len() < k` the k-heap above exhausted every stream, so
-/// `merged` alone lists *all* finite-distance ids and the fill can
-/// skip exactly those.
-#[must_use]
-pub fn knn_take_fill(
-    k: usize,
-    merged: &[(f64, TrajId)],
-    universe: impl IntoIterator<Item = TrajId>,
-) -> Vec<TrajId> {
-    let mut ids: Vec<TrajId> = merged.iter().map(|&(_, id)| id).collect();
-    if ids.len() < k {
-        let finite: HashSet<TrajId> = ids.iter().copied().collect();
-        for id in universe {
-            if finite.contains(&id) {
-                continue;
-            }
-            ids.push(id);
-            if ids.len() == k {
-                break;
-            }
-        }
-    }
-    ids.sort_unstable();
-    ids
-}
-
-/// Concatenates per-stream *global*-id result lists and sorts them
-/// ascending — the coordinator-side twin of the in-process
-/// remap-and-merge for range/similarity fan-out (each shard's local
-/// hits are already remapped to global ids by the time they cross the
-/// wire).
-#[must_use]
-pub fn merge_global_ids(per_stream: Vec<Vec<TrajId>>) -> Vec<TrajId> {
-    let mut out: Vec<TrajId> = per_stream.into_iter().flatten().collect();
-    out.sort_unstable();
-    out
-}
-
-/// Heap entry of the global kNN merge: ordered by `(distance, global
-/// id)`; `shard`/`pos` locate the successor in that shard's stream.
-/// Distances are finite and `-0.0`-normalized, so `total_cmp` agrees with
-/// the single-store sort's `partial_cmp`.
-struct KnnHeapEntry {
-    d: f64,
-    id: TrajId,
-    shard: usize,
-    pos: usize,
-}
-
-impl PartialEq for KnnHeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for KnnHeapEntry {}
-
-impl PartialOrd for KnnHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for KnnHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.d
-            .total_cmp(&other.d)
-            .then(self.id.cmp(&other.id))
-            .then(self.shard.cmp(&other.shard))
     }
 }
 
@@ -821,15 +602,6 @@ mod tests {
             };
             assert_eq!(sharded.knn(&q), single.knn(&q), "k={k} ts={ts} te={te}");
         }
-    }
-
-    #[test]
-    fn merge_with_huge_k_returns_every_candidate() {
-        let streams = vec![vec![(0.5, 2), (2.0, 0)], vec![], vec![(1.0, 1)]];
-        assert_eq!(
-            merge_knn_candidates(usize::MAX / 2, &streams),
-            vec![(0.5, 2), (1.0, 1), (2.0, 0)]
-        );
     }
 
     #[test]

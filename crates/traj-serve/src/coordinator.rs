@@ -1,7 +1,8 @@
 //! The distributed query coordinator: routes a [`QueryBatch`] to the
 //! shard *processes* whose bounds can contribute, fans the sub-batches
-//! out over the wire, and merges the raw per-shard answers exactly as
-//! `ShardedQueryEngine` merges in-process shards.
+//! out over the wire, and merges the raw per-shard answers with the
+//! same shared merge (`traj_query::merge`) the in-process
+//! `ShardedQueryEngine` and the live `GenerationalDb` use.
 //!
 //! The shard manifest doubles as the placement map: each
 //! [`ShardEntry`](trajectory::shard::ShardEntry) carries an optional
@@ -25,18 +26,20 @@
 //!   small per-shard connection pool, so several coalesced rounds stay
 //!   in flight concurrently while every reply is still paired with its
 //!   request by the echoed id;
-//! - range/similarity hits come back shard-local, are remapped through
-//!   the placement map's `global_ids`, and merge by concatenation +
-//!   sort ([`merge_global_ids`]);
-//! - kNN candidates come back scored; after the same remap they feed
-//!   the global k-heap ([`merge_knn_candidates`]) and the single-store
-//!   infinite-fill policy ([`knn_take_fill`]) — byte-identical to the
-//!   in-process merge. Pruned (but healthy) shards stay in the fill
-//!   universe: pruning is result-neutral, only *failures* shrink it;
-//! - kept-bitmap range results are `Some` only when every non-failed
-//!   shard has its kept bitmap — answering shards report it in-band,
-//!   pruned shards are covered by the `has_kept` they declared at
-//!   handshake — mirroring `ShardedQueryEngine::has_kept_bitmaps`.
+//! - what is specific to this executor is only the remote part: each
+//!   reply is checked to be the [`ShardResult`] variant that answers its
+//!   query (else a typed [`CoordinatorError::Protocol`]) and remapped
+//!   from shard-local to global ids through the placement map (an id
+//!   past the shard's range is a protocol error too);
+//! - then, per query, every non-failed shard contributes one part — its
+//!   reply, or the empty part ([`ShardResult::empty`]) when routing
+//!   skipped it, declaring the kept bitmap it reported at handshake —
+//!   and [`merge_parts`] folds them: id hits into a sorted union, kNN
+//!   candidates through the global k-heap and the single-store
+//!   infinite-fill policy, kept-bitmap hits into `Some` only when every
+//!   part has its bitmap. The kNN fill draws from the non-failed
+//!   shards' ids, so pruning is result-neutral and only *failures*
+//!   shrink the universe.
 //!
 //! Failures are first-class: per-shard connect/request timeouts,
 //! bounded retries with linear backoff and reconnection, and a
@@ -63,17 +66,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use traj_query::{
-    knn_take_fill, merge_global_ids, merge_knn_candidates, query_touches_bounds, Query, QueryBatch,
-    QueryResult,
-};
+use traj_query::{merge_parts, query_touches_bounds, Query, QueryBatch, QueryResult, ShardResult};
 use trajectory::shard::ShardSet;
 use trajectory::{Cube, TrajId};
 
 use crate::admission::{split, Admission};
 use crate::client::{Client, ClientConfig};
 use crate::server::BatchConfig;
-use crate::wire::{ShardInfo, ShardResult, WireError};
+use crate::wire::{ShardInfo, WireError};
 
 /// Idle connections kept per shard. Concurrency beyond the cap still
 /// works — extra connections are dialed on demand and dropped on
@@ -584,13 +584,12 @@ impl Coordinator {
             });
 
         let mut per_shard: Vec<Option<Vec<ShardResult>>> = Vec::with_capacity(outcomes.len());
-        let mut failed = vec![false; self.shards.len()];
         let mut failures: Vec<(usize, WireError)> = Vec::new();
         for (i, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
                 // Pruned: never contacted, so it can neither answer nor
                 // fail — its (empty) contribution is known from bounds.
-                None => per_shard.push(None),
+                None => per_shard.push(Some(Vec::new())),
                 Some(Ok(results)) => per_shard.push(Some(results)),
                 Some(Err(source)) => match policy {
                     FailurePolicy::FailFast => {
@@ -601,7 +600,6 @@ impl Coordinator {
                         })
                     }
                     FailurePolicy::Degrade => {
-                        failed[i] = true;
                         failures.push((i, source));
                         per_shard.push(None);
                     }
@@ -611,7 +609,7 @@ impl Coordinator {
         // Degrading to an empty shard set would answer every query with
         // nothing — that is an outage, not a degraded answer. (Pruned
         // shards count as survivors: their contribution is known.)
-        if !self.shards.is_empty() && failed.iter().all(|&f| f) {
+        if !self.shards.is_empty() && failures.len() == self.shards.len() {
             let (shard, source) = failures.swap_remove(0);
             return Err(CoordinatorError::ShardFailed {
                 shard,
@@ -620,7 +618,7 @@ impl Coordinator {
             });
         }
 
-        let results = self.merge(batch, &per_shard, &routes, &failed)?;
+        let results = self.merge(batch, per_shard, &routes)?;
         let missing_shards: Vec<usize> = failures.iter().map(|&(i, _)| i).collect();
         let status = if missing_shards.is_empty() {
             ResponseStatus::Complete
@@ -634,143 +632,78 @@ impl Coordinator {
         })
     }
 
-    /// Merges per-shard raw results into final answers — the remote
-    /// twin of `ShardedQueryEngine`'s in-process merge. `per_shard[s]`
-    /// is `None` for shards that were pruned or degraded away
-    /// (`failed` distinguishes the two); `routes[s]` maps each shard's
-    /// sub-batch positions back to batch indexes.
+    /// Merges per-shard replies into final answers with the shared
+    /// merge every multi-part executor uses. `per_shard[s]` is `None`
+    /// for a shard that failed (degraded away) and otherwise holds its
+    /// replies in sub-batch order — empty when the whole round was
+    /// pruned; `routes[s]` lists the batch indexes of that sub-batch.
+    /// Per query, every non-failed shard adds one part: its reply,
+    /// kind-checked and remapped to global ids, or — when the query was
+    /// routed away from it — the empty part. The kNN fill draws from
+    /// the non-failed shards' ids: `0..total` when nothing failed
+    /// (pruning is result-neutral), the reachable subset when degraded.
     fn merge(
         &self,
         batch: &QueryBatch,
-        per_shard: &[Option<Vec<ShardResult>>],
+        per_shard: Vec<Option<Vec<ShardResult>>>,
         routes: &[Vec<usize>],
-        failed: &[bool],
     ) -> Result<Vec<QueryResult>, CoordinatorError> {
-        let answered: Vec<usize> = per_shard
+        let mut universe: Vec<TrajId> = self
+            .shards
             .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|_| i))
-            .collect();
-        // The ascending id universe the kNN infinite-fill draws from:
-        // the union of every non-*failed* shard's global ids — equal
-        // to `0..total` when no shard failed (preserving byte-identity
-        // with in-process execution; pruned shards' data is still part
-        // of the database being answered over), the reachable subset
-        // when degraded.
-        let mut universe: Vec<TrajId> = (0..self.shards.len())
-            .filter(|&s| !failed[s])
-            .flat_map(|s| self.shards[s].global_ids.iter().copied())
+            .zip(&per_shard)
+            .filter(|(_, replies)| replies.is_some())
+            .flat_map(|(conn, _)| conn.global_ids.iter().copied())
             .collect();
         universe.sort_unstable();
 
-        // pos[s][qi] = position of batch query `qi` in shard `s`'s
-        // sub-batch, or `usize::MAX` when routed away from it.
-        let pos: Vec<Vec<usize>> = routes
-            .iter()
-            .map(|route| {
-                let mut p = vec![usize::MAX; batch.len()];
-                for (j, &qi) in route.iter().enumerate() {
-                    p[qi] = j;
-                }
-                p
-            })
+        // Each surviving shard's replies, consumed in batch order (its
+        // route is ascending) alongside the route itself.
+        let mut replies: Vec<Option<_>> = per_shard
+            .into_iter()
+            .zip(routes)
+            .map(|(r, route)| r.map(|r| (r.into_iter(), route.iter().peekable())))
             .collect();
 
         let mut out = Vec::with_capacity(batch.len());
         for (qi, q) in batch.queries().iter().enumerate() {
-            let result = match q {
-                Query::Range(_) => {
-                    QueryResult::Range(self.merge_ids(qi, &answered, per_shard, &pos)?)
+            let mut parts = Vec::with_capacity(replies.len());
+            for (s, shard) in replies.iter_mut().enumerate() {
+                let Some((results, route)) = shard else {
+                    continue; // failed: not part of the answer
+                };
+                if route.next_if_eq(&&qi).is_none() {
+                    parts.push(ShardResult::empty(q, self.shards[s].has_kept));
+                    continue;
                 }
-                Query::Similarity(_) => {
-                    QueryResult::Similarity(self.merge_ids(qi, &answered, per_shard, &pos)?)
-                }
-                Query::Knn(k) => {
-                    let mut streams = Vec::with_capacity(answered.len());
-                    for &s in &answered {
-                        let j = pos[s][qi];
-                        if j == usize::MAX {
-                            continue; // routed away: contributes no candidates
-                        }
-                        let ShardResult::Candidates(cands) = &shard_results(per_shard, s)[j] else {
-                            return Err(self.protocol(s, "expected knn candidates"));
-                        };
-                        let mut remapped = Vec::with_capacity(cands.len());
-                        for &(d, local) in cands {
-                            remapped.push((d, self.remap_one(s, local)?));
-                        }
-                        streams.push(remapped);
-                    }
-                    let merged = merge_knn_candidates(k.k, &streams);
-                    QueryResult::Knn(knn_take_fill(k.k, &merged, universe.iter().copied()))
-                }
-                Query::RangeKept(_) => {
-                    // `Some` only when at least one shard survives and
-                    // every surviving shard has its kept bitmap —
-                    // answering shards say so in-band, shards this
-                    // query was routed away from said so at handshake —
-                    // mirroring `ShardedQueryEngine::has_kept_bitmaps`.
-                    let mut lists = Vec::with_capacity(answered.len());
-                    let mut all_kept = failed.iter().any(|&f| !f);
-                    for s in 0..self.shards.len() {
-                        if failed[s] {
-                            continue;
-                        }
-                        match per_shard[s].as_ref().map(|r| (r, pos[s][qi])) {
-                            Some((results, j)) if j != usize::MAX => match &results[j] {
-                                ShardResult::Kept(Some(ids)) => {
-                                    lists.push(self.remap(s, ids)?);
-                                }
-                                ShardResult::Kept(None) => all_kept = false,
-                                _ => return Err(self.protocol(s, "expected kept hits")),
-                            },
-                            // Pruned — whole round or just this query.
-                            _ => {
-                                if !self.shards[s].has_kept {
-                                    all_kept = false;
-                                }
-                            }
-                        }
-                    }
-                    QueryResult::RangeKept(all_kept.then(|| merge_global_ids(lists)))
-                }
-            };
-            out.push(result);
+                let part = results.next().expect("one reply per routed query");
+                parts.push(self.global_part(s, q, part)?);
+            }
+            out.push(merge_parts(q, parts, universe.iter().copied()));
         }
         Ok(out)
     }
 
-    fn merge_ids(
+    /// Checks that shard `s`'s reply is the variant that answers `q` and
+    /// maps its local ids through the placement.
+    fn global_part(
         &self,
-        qi: usize,
-        answered: &[usize],
-        per_shard: &[Option<Vec<ShardResult>>],
-        pos: &[Vec<usize>],
-    ) -> Result<Vec<TrajId>, CoordinatorError> {
-        let mut lists = Vec::with_capacity(answered.len());
-        for &s in answered {
-            let j = pos[s][qi];
-            if j == usize::MAX {
-                continue; // routed away: contributes no hits
-            }
-            let ShardResult::Ids(ids) = &shard_results(per_shard, s)[j] else {
-                return Err(self.protocol(s, "expected id hits"));
-            };
-            lists.push(self.remap(s, ids)?);
+        s: usize,
+        q: &Query,
+        part: ShardResult,
+    ) -> Result<ShardResult, CoordinatorError> {
+        if !part.answers(q) {
+            return Err(self.protocol(
+                s,
+                match q {
+                    Query::Knn(_) => "expected knn candidates",
+                    Query::RangeKept(_) => "expected kept hits",
+                    Query::Range(_) | Query::Similarity(_) => "expected id hits",
+                },
+            ));
         }
-        Ok(merge_global_ids(lists))
-    }
-
-    fn remap_one(&self, shard: usize, local: TrajId) -> Result<TrajId, CoordinatorError> {
-        self.shards[shard]
-            .global_ids
-            .get(local)
-            .copied()
-            .ok_or_else(|| self.protocol(shard, "shard-local id out of placement range"))
-    }
-
-    fn remap(&self, shard: usize, local: &[TrajId]) -> Result<Vec<TrajId>, CoordinatorError> {
-        local.iter().map(|&l| self.remap_one(shard, l)).collect()
+        part.to_global(&self.shards[s].global_ids)
+            .ok_or_else(|| self.protocol(s, "shard-local id out of placement range"))
     }
 
     fn protocol(&self, shard: usize, reason: &'static str) -> CoordinatorError {
@@ -780,10 +713,6 @@ impl Coordinator {
             reason,
         }
     }
-}
-
-fn shard_results(per_shard: &[Option<Vec<ShardResult>>], s: usize) -> &[ShardResult] {
-    per_shard[s].as_deref().expect("shard listed as answered")
 }
 
 /// Dials one shard and runs the handshake, verifying the shard serves

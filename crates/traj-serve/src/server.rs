@@ -34,7 +34,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use traj_query::{
-    DbOptions, GenerationalDb, IngestReport, Query, QueryBatch, QueryExecutor, QueryResult, TrajDb,
+    DbOptions, GenerationalDb, IngestReport, QueryBatch, QueryExecutor, QueryResult, TrajDb,
     TrajDbError,
 };
 use trajectory::Trajectory;
@@ -428,7 +428,7 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
                 Message::ShardResponse {
                     id,
-                    results: serve_shard_batch(&shared.db, &batch),
+                    results: execute_shard_batch(shared.db.executor(), &batch),
                 }
             }
             // Writes bypass the admission queue: the delta store already
@@ -492,44 +492,16 @@ fn serve_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Executes a batch as one *shard* of a distributed database: raw
-/// shard-local results — no global-id remap, no kNN infinite-fill —
-/// exactly the per-shard material `ShardedQueryEngine` produces before
-/// its in-process merge. The coordinator applies the placement map's
-/// remap and the global merge; the equivalence suite pins the two paths
-/// byte-identical.
+/// Executes a batch as one *shard* of a distributed database: one
+/// [`QueryExecutor::execute_part`] per query — raw merge material in
+/// the database's own ids, no kNN infinite-fill. Every layout answers
+/// this way (a single store, an in-process sharded database, a live
+/// base + delta database); the coordinator maps the ids through its
+/// placement and runs the shared merge, and the equivalence suite pins
+/// the two paths byte-identical.
 #[must_use]
-pub fn execute_shard_batch(db: &TrajDb, batch: &QueryBatch) -> Vec<ShardResult> {
-    batch
-        .queries()
-        .iter()
-        .map(|q| match q {
-            Query::Range(c) => ShardResult::Ids(db.range(c)),
-            Query::Knn(k) => ShardResult::Candidates(db.knn_candidates(k)),
-            Query::Similarity(s) => ShardResult::Ids(db.similarity(s)),
-            Query::RangeKept(c) => ShardResult::Kept(db.range_kept(c)),
-        })
-        .collect()
-}
-
-/// [`execute_shard_batch`] over either serving layout. A live database
-/// produces the same per-shard material — its merged `knn_candidates`
-/// already have the canonical candidate shape (finite, `(d, id)`
-/// ascending, truncated to `k`, `-0.0`-normalized).
-fn serve_shard_batch(db: &ServeDb, batch: &QueryBatch) -> Vec<ShardResult> {
-    match db {
-        ServeDb::Static(db) => execute_shard_batch(db, batch),
-        ServeDb::Live(db) => batch
-            .queries()
-            .iter()
-            .map(|q| match q {
-                Query::Range(c) => ShardResult::Ids(db.range(c)),
-                Query::Knn(k) => ShardResult::Candidates(db.knn_candidates(k)),
-                Query::Similarity(s) => ShardResult::Ids(db.similarity(s)),
-                Query::RangeKept(c) => ShardResult::Kept(db.range_kept(c)),
-            })
-            .collect(),
-    }
+pub fn execute_shard_batch(db: &dyn QueryExecutor, batch: &QueryBatch) -> Vec<ShardResult> {
+    batch.queries().iter().map(|q| db.execute_part(q)).collect()
 }
 
 fn execute(shared: &Arc<Shared>, batch: QueryBatch) -> Option<Vec<QueryResult>> {
@@ -554,8 +526,8 @@ fn execute(shared: &Arc<Shared>, batch: QueryBatch) -> Option<Vec<QueryResult>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Client;
-    use traj_query::SimilarityQuery;
+    use crate::{Client, ClientConfig, WireError};
+    use traj_query::{Dissimilarity, KnnQuery, Query, SimilarityQuery, T2vecEmbedder};
     use trajectory::{Point, TrajectoryDb};
 
     fn hour(y: f64) -> Trajectory {
@@ -587,6 +559,41 @@ mod tests {
             QueryResult::Similarity(vec![0])
         );
         // The server is still healthy afterwards.
+        let range = Query::Range(trajectory::Cube::new(0.0, 50.0, 0.0, 50.0, 0.0, 60.0));
+        assert_eq!(client.execute(&range).unwrap(), QueryResult::Range(vec![0]));
+        server.shutdown();
+    }
+
+    #[test]
+    fn zero_dimension_t2vec_knn_gets_a_typed_error_and_the_server_keeps_serving() {
+        let db = TrajDb::from_db(
+            &TrajectoryDb::new(vec![hour(3.0), hour(100.0)]),
+            DbOptions::new(),
+        );
+        let server = Server::start(db, "127.0.0.1:0", ServeOptions::batched()).unwrap();
+        let cfg = ClientConfig {
+            connect_timeout: Some(Duration::from_secs(5)),
+            read_timeout: Some(Duration::from_secs(10)),
+            write_timeout: Some(Duration::from_secs(10)),
+        };
+        let mut client = Client::connect_with(server.local_addr(), &cfg).unwrap();
+        let knn = Query::Knn(KnnQuery {
+            query: hour(0.0),
+            ts: 0.0,
+            te: 3_600.0,
+            k: 1,
+            measure: Dissimilarity::T2vec(T2vecEmbedder {
+                cell_size: 250.0,
+                dim: 0,
+            }),
+        });
+        match client.execute(&knn) {
+            Err(WireError::Remote { code, .. }) => assert_eq!(code, ERR_BAD_REQUEST),
+            other => panic!("expected a typed bad-request error, got {other:?}"),
+        }
+        // The executor survived: a healthy query on a new connection
+        // still answers.
+        let mut client = Client::connect_with(server.local_addr(), &cfg).unwrap();
         let range = Query::Range(trajectory::Cube::new(0.0, 50.0, 0.0, 50.0, 0.0, 60.0));
         assert_eq!(client.execute(&range).unwrap(), QueryResult::Range(vec![0]));
         server.shutdown();

@@ -242,22 +242,11 @@ pub struct ShardInfo {
 }
 
 /// One query's *shard-local* answer inside a [`Message::ShardResponse`]
-/// — the raw per-shard material the coordinator merges exactly as
-/// `ShardedQueryEngine` merges in-process shards. Ids are already
-/// global when the shard serves a whole shard snapshot (its engine maps
-/// local→global is the coordinator's job via the placement map — see
-/// `traj_serve::coordinator`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardResult {
-    /// Range/similarity hits, shard-local ids ascending.
-    Ids(Vec<TrajId>),
-    /// Kept-bitmap range hits; `None` when the shard has no bitmap.
-    Kept(Option<Vec<TrajId>>),
-    /// kNN candidates: finite `(distance, shard-local id)` pairs sorted
-    /// ascending by `(distance, id)`, truncated to the query's `k`,
-    /// `-0.0`-normalized — the shape `knn_candidates` produces.
-    Candidates(Vec<(f64, TrajId)>),
-}
+/// — the merge material the coordinator maps to global ids and folds
+/// with the same shared merge every multi-part executor uses (defined
+/// in `traj_query::merge`, re-exported here so the frame types stay in
+/// one place).
+pub use traj_query::ShardResult;
 
 /// What a live server reports back for one [`Message::Ingest`] frame,
 /// sent only after the delta store's WAL has been synced — an ack means
@@ -565,9 +554,10 @@ fn decode_query(r: &mut Reader<'_>) -> Result<Query, WireError> {
                 MEASURE_EDR => Dissimilarity::Edr { eps: r.f64()? },
                 MEASURE_T2VEC => {
                     let cell_size = r.f64()?;
+                    // dim = 0 would make the embedder divide by zero.
                     let dim = usize::try_from(r.u64()?)
                         .ok()
-                        .filter(|&d| d <= MAX_T2VEC_DIM);
+                        .filter(|d| (1..=MAX_T2VEC_DIM).contains(d));
                     let dim = dim.ok_or(WireError::Malformed {
                         reason: "t2vec dimension out of range",
                     })?;
@@ -1080,4 +1070,44 @@ pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, WireError> {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
     decode_payload(kind, &rest[..len]).map(Some)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trajectory::Point;
+
+    fn knn_frame(dim: usize) -> Vec<u8> {
+        let query = Trajectory::new(vec![Point::new(0.0, 0.0, 0.0)]).unwrap();
+        encode_message(&Message::Request(QueryBatch::from_queries(vec![
+            Query::Knn(KnnQuery {
+                query,
+                ts: 0.0,
+                te: 1.0,
+                k: 1,
+                measure: Dissimilarity::T2vec(T2vecEmbedder {
+                    cell_size: 250.0,
+                    dim,
+                }),
+            }),
+        ])))
+    }
+
+    #[test]
+    fn t2vec_dimension_must_be_between_one_and_the_cap() {
+        for dim in [0, MAX_T2VEC_DIM + 1] {
+            assert!(
+                matches!(
+                    decode_message(&knn_frame(dim)),
+                    Err(WireError::Malformed {
+                        reason: "t2vec dimension out of range"
+                    })
+                ),
+                "dim {dim}"
+            );
+        }
+        for dim in [1, MAX_T2VEC_DIM] {
+            assert!(decode_message(&knn_frame(dim)).is_ok(), "dim {dim}");
+        }
+    }
 }
